@@ -1,33 +1,29 @@
-//! Codelet microbenchmarks: hand-unrolled kernels vs. generated DAG
-//! interpretation — justifies the fast paths for sizes 2/4/8.
+//! Codelet microbenchmarks: generated straight-line kernels vs. the DAG
+//! interpreter they were printed from, each run as a unit kernel stage
+//! (one codelet application through the stage loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spiral_codegen::codelet::{generate_dft_dag, Codelet};
+use spiral_codegen::codelet::{Codelet, MAX_GENERATED};
+use spiral_codegen::stage::KernelStage;
 use spiral_spl::cplx::Cplx;
-use std::sync::Arc;
 
 fn bench_codelets(c: &mut Criterion) {
     let mut group = c.benchmark_group("codelets");
-    for n in [2usize, 4, 8, 16, 32] {
+    for n in 2..=MAX_GENERATED {
         let x: Vec<Cplx> = (0..n).map(|k| Cplx::new(k as f64, -1.0)).collect();
         let mut out = vec![Cplx::ZERO; n];
-        let mut scratch = Vec::new();
-
-        let hand = Codelet::for_size(n);
-        group.bench_with_input(BenchmarkId::new("default", n), &n, |b, _| {
-            b.iter(|| {
-                hand.apply(&x, &mut out, &mut scratch);
-                out[0]
+        for (name, codelet) in [
+            ("generated", Codelet::for_size(n)),
+            ("dag_interp", Codelet::interpreted(n)),
+        ] {
+            let stage = KernelStage::unit(codelet);
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    stage.apply(&x, &mut out);
+                    out[0]
+                });
             });
-        });
-
-        let dag = Codelet::Dag(Arc::new(generate_dft_dag(n)));
-        group.bench_with_input(BenchmarkId::new("dag_interp", n), &n, |b, _| {
-            b.iter(|| {
-                dag.apply(&x, &mut out, &mut scratch);
-                out[0]
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -36,12 +36,10 @@ fn fixture() -> CertifyReportFile {
                 shape: "multicore default split, fused exchanges".to_string(),
                 dataflow_certified: true,
                 symbolic_certified: Some(false),
-                findings: vec![
-                    "symbolic pass, index 1: interpreter (hand kernels) semantics: \
+                findings: vec!["symbolic pass, index 1: codelet DAG semantics: \
                      plan(e_1)[1] = 1 ≈ (1.000000+0.000000i), but DFT_32[1,1] = ω_32^1 \
                      — plan is not DFT_32"
-                        .to_string(),
-                ],
+                    .to_string()],
             },
         ],
     }

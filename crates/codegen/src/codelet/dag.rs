@@ -4,9 +4,11 @@
 //! by *partial evaluation*: the Cooley–Tukey recursion is executed on
 //! symbolic values, yielding a straight-line program as a hash-consed DAG
 //! of complex additions, subtractions, and multiplications by constants.
-//! The DAG is both interpreted at run time (generic codelet execution)
-//! and pretty-printed by the C emitter.
+//! The DAG is printed as straight-line Rust (`generated.rs`) and as C
+//! (the C emitter), and interpreted at run time for leaves without a
+//! generated kernel.
 
+use crate::simd::Lanes;
 use spiral_spl::cplx::Cplx;
 use std::collections::HashMap;
 
@@ -68,61 +70,32 @@ impl Dag {
             .count()
     }
 
-    /// Evaluate on concrete inputs. `scratch` is resized as needed and
-    /// reused across calls to avoid per-call allocation.
-    pub fn eval(&self, input: &[Cplx], out: &mut [Cplx], scratch: &mut Vec<Cplx>) {
-        debug_assert_eq!(input.len(), self.n_inputs);
-        debug_assert_eq!(out.len(), self.outputs.len());
-        scratch.clear();
-        scratch.reserve(self.nodes.len());
-        for node in &self.nodes {
-            let v = match *node {
-                Node::Input(i) => input[i as usize],
-                Node::Add(a, b) => scratch[a as usize] + scratch[b as usize],
-                Node::Sub(a, b) => scratch[a as usize] - scratch[b as usize],
-                Node::Mul(a, c) => scratch[a as usize] * c,
-                Node::MulI(a) => scratch[a as usize].mul_i(),
-                Node::MulNegI(a) => scratch[a as usize].mul_neg_i(),
-                Node::Neg(a) => -scratch[a as usize],
-            };
-            scratch.push(v);
-        }
-        for (k, &o) in self.outputs.iter().enumerate() {
-            out[k] = scratch[o as usize];
-        }
-    }
-
-    /// Evaluate `NU` independent lanes in lane-grouped layout (input slot
-    /// `i` at `input[i·NU..(i+1)·NU]`, output slot `k` at
-    /// `out[k·NU..(k+1)·NU]`). Each lane runs the identical node sequence
-    /// as [`eval`], so per-lane results are bit-identical to `NU` scalar
-    /// evaluations.
-    pub fn eval_lanes<const NU: usize>(
-        &self,
-        input: &[Cplx],
-        out: &mut [Cplx],
-        scratch: &mut Vec<Cplx>,
-    ) {
-        use crate::simd::Lanes;
-        debug_assert_eq!(input.len(), self.n_inputs * NU);
-        debug_assert_eq!(out.len(), self.outputs.len() * NU);
-        scratch.clear();
-        scratch.resize(self.nodes.len() * NU, Cplx::ZERO);
+    /// Evaluate in place on ν lanes: `v` holds the input slots on entry
+    /// and the output slots on return. `store` is the per-node value store
+    /// (lane-grouped: node `k` at `store[k·ν..(k+1)·ν]`), grown as needed
+    /// and reused across calls. This interprets the DAG the generated
+    /// kernels were printed from, with the same operation sequence, so the
+    /// two agree bitwise; the stage loop uses it for leaves without a
+    /// generated kernel.
+    pub fn eval_lanes<const NU: usize>(&self, v: &mut [Lanes<NU>], store: &mut Vec<Cplx>) {
+        debug_assert_eq!(v.len(), self.n_inputs);
+        debug_assert_eq!(v.len(), self.outputs.len());
+        store.resize(self.nodes.len() * NU, Cplx::ZERO);
         let at = |s: &[Cplx], id: Id| Lanes::<NU>::load(&s[id as usize * NU..]);
         for (k, node) in self.nodes.iter().enumerate() {
-            let v = match *node {
-                Node::Input(i) => Lanes::<NU>::load(&input[i as usize * NU..]),
-                Node::Add(a, b) => at(scratch, a) + at(scratch, b),
-                Node::Sub(a, b) => at(scratch, a) - at(scratch, b),
-                Node::Mul(a, c) => at(scratch, a).mul_const(c),
-                Node::MulI(a) => at(scratch, a).mul_i(),
-                Node::MulNegI(a) => at(scratch, a).mul_neg_i(),
-                Node::Neg(a) => -at(scratch, a),
+            let x = match *node {
+                Node::Input(i) => v[i as usize],
+                Node::Add(a, b) => at(store, a) + at(store, b),
+                Node::Sub(a, b) => at(store, a) - at(store, b),
+                Node::Mul(a, c) => at(store, a).mul_const(c),
+                Node::MulI(a) => at(store, a).mul_i(),
+                Node::MulNegI(a) => at(store, a).mul_neg_i(),
+                Node::Neg(a) => -at(store, a),
             };
-            v.store(&mut scratch[k * NU..]);
+            x.store(&mut store[k * NU..]);
         }
-        for (k, &o) in self.outputs.iter().enumerate() {
-            at(scratch, o).store(&mut out[k * NU..]);
+        for (slot, &o) in v.iter_mut().zip(&self.outputs) {
+            *slot = at(store, o);
         }
     }
 }
@@ -229,11 +202,10 @@ mod tests {
         let s = b.add(ins[0], ins[1]);
         let d = b.sub(ins[0], ins[1]);
         let dag = b.finish(vec![s, d], 2);
-        let mut out = [Cplx::ZERO; 2];
-        let mut scratch = Vec::new();
-        dag.eval(&[Cplx::real(3.0), Cplx::real(1.0)], &mut out, &mut scratch);
-        assert!(out[0].approx_eq(Cplx::real(4.0), 0.0));
-        assert!(out[1].approx_eq(Cplx::real(2.0), 0.0));
+        let mut v = [Lanes([Cplx::real(3.0)]), Lanes([Cplx::real(1.0)])];
+        dag.eval_lanes(&mut v, &mut Vec::new());
+        assert!(v[0].0[0].approx_eq(Cplx::real(4.0), 0.0));
+        assert!(v[1].0[0].approx_eq(Cplx::real(2.0), 0.0));
         assert_eq!(dag.flops(), 4);
     }
 
@@ -268,16 +240,16 @@ mod tests {
 
     #[test]
     fn rotations_evaluate_correctly() {
-        let (mut b, ins) = DagBuilder::new(1);
+        let (mut b, ins) = DagBuilder::new(4);
         let ri = b.mul(ins[0], Cplx::I);
-        let rni = b.mul(ins[0], -Cplx::I);
-        let n = b.mul(ins[0], Cplx::real(-1.0));
-        let general = b.mul(ins[0], Cplx::new(0.5, 0.25));
-        let dag = b.finish(vec![ri, rni, n, general], 1);
+        let rni = b.mul(ins[1], -Cplx::I);
+        let n = b.mul(ins[2], Cplx::real(-1.0));
+        let general = b.mul(ins[3], Cplx::new(0.5, 0.25));
+        let dag = b.finish(vec![ri, rni, n, general], 4);
         let z = Cplx::new(2.0, -3.0);
-        let mut out = [Cplx::ZERO; 4];
-        let mut scratch = Vec::new();
-        dag.eval(&[z], &mut out, &mut scratch);
+        let mut v = [Lanes([z]); 4];
+        dag.eval_lanes(&mut v, &mut Vec::new());
+        let out: Vec<Cplx> = v.iter().map(|l| l.0[0]).collect();
         assert!(out[0].approx_eq(z * Cplx::I, 1e-15));
         assert!(out[1].approx_eq(z * -Cplx::I, 1e-15));
         assert!(out[2].approx_eq(-z, 1e-15));

@@ -1,202 +1,94 @@
 //! DFT codelets: the straight-line base-case kernels of the generator.
 //!
-//! Sizes 2, 4, and 8 have hand-unrolled hot paths; every other size is
-//! served by a generated DAG (partial evaluation of the Cooley–Tukey
-//! recursion, naive DFT for primes). All variants agree with the defining
-//! matrix-vector product — tested exhaustively.
+//! Every size starts as a DAG (partial evaluation of the Cooley–Tukey
+//! recursion, naive DFT for primes). Sizes 2..=[`MAX_GENERATED`] run as
+//! straight-line Rust printed node-for-node from that DAG into
+//! [`generated`] by [`generated_source`]; larger leaves (in practice the
+//! primes above 8) run through the DAG interpreter. Both forms execute the
+//! same operation sequence, so they agree bitwise.
 
 pub mod dag;
+#[rustfmt::skip]
+mod generated;
 
-use dag::{Dag, DagBuilder, Id};
-use spiral_spl::cplx::Cplx;
+use crate::stage::StageFn;
+use dag::{Dag, DagBuilder, Id, Node};
 use spiral_spl::num::{factorize, omega_pow, omega_pow2};
 use spiral_spl::perm::Perm;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// An executable DFT kernel of a fixed (small) size.
-#[derive(Clone, Debug)]
-pub enum Codelet {
-    /// Size-2 butterfly `F_2` (hand-unrolled).
-    F2,
-    /// Size-4 radix-2 kernel (hand-unrolled).
-    F4,
-    /// Size-8 split kernel (hand-unrolled DAG-free path).
-    F8,
-    /// Generated straight-line code for arbitrary sizes.
-    Dag(Arc<Dag>),
+pub(crate) use generated::runner as generated_runner;
+
+/// Largest `DFT_n` with a generated straight-line kernel.
+pub const MAX_GENERATED: usize = 8;
+
+/// An executable DFT kernel of a fixed (small) size: its DAG plus the
+/// stage runners resolved for it once, at construction.
+#[derive(Clone)]
+pub struct Codelet {
+    pub(crate) dag: Arc<Dag>,
+    /// Stage runners for ν = 1, 2, 4.
+    runners: [StageFn; 3],
+}
+
+impl std::fmt::Debug for Codelet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DFT_{}", self.size())
+    }
 }
 
 impl Codelet {
-    /// Build the codelet for `DFT_n`. Hand-unrolled kernels are used for
-    /// n ∈ {2, 4, 8}; other sizes get a generated DAG (cached globally —
-    /// generation is deterministic).
+    /// The codelet for `DFT_n`: the generated kernel for
+    /// n ≤ [`MAX_GENERATED`], the DAG interpreter above (DAGs are cached
+    /// globally — generation is deterministic).
     pub fn for_size(n: usize) -> Codelet {
-        match n {
-            2 => Codelet::F2,
-            4 => Codelet::F4,
-            8 => Codelet::F8,
-            _ => Codelet::Dag(cached_dag(n)),
+        Codelet::build(n, false)
+    }
+
+    /// `DFT_n` through the DAG interpreter even where a generated kernel
+    /// exists — the reference the generated kernels are tested and
+    /// benchmarked against.
+    pub fn interpreted(n: usize) -> Codelet {
+        Codelet::build(n, true)
+    }
+
+    fn build(n: usize, interpret: bool) -> Codelet {
+        Codelet {
+            dag: cached_dag(n),
+            runners: crate::stage::resolve_runners(n, interpret),
         }
     }
 
-    /// The DAG form (also for the hand-unrolled sizes) — used by the C
-    /// emitter, which always prints generated code.
+    /// The DAG form — what the generated kernels were printed from, what
+    /// the C emitter prints, and what certification evaluates exactly.
     pub fn dag(&self) -> Arc<Dag> {
-        match self {
-            Codelet::F2 => cached_dag(2),
-            Codelet::F4 => cached_dag(4),
-            Codelet::F8 => cached_dag(8),
-            Codelet::Dag(d) => Arc::clone(d),
-        }
+        Arc::clone(&self.dag)
     }
 
     /// Transform size.
     pub fn size(&self) -> usize {
-        match self {
-            Codelet::F2 => 2,
-            Codelet::F4 => 4,
-            Codelet::F8 => 8,
-            Codelet::Dag(d) => d.n_inputs,
-        }
+        self.dag.n_inputs
     }
 
     /// Real-flop count per application (for the cost model and the
-    /// pseudo-Mflop/s accounting).
+    /// pseudo-Mflop/s accounting). `DFT_4` keeps the analytic count of 16
+    /// the cost model is calibrated on; its DAG also counts the free `−i`
+    /// rotation.
     pub fn flops(&self) -> u64 {
-        match self {
-            Codelet::F2 => 4,
-            Codelet::F4 => 16,
-            Codelet::F8 => cached_dag(8).flops(),
-            Codelet::Dag(d) => d.flops(),
+        match self.size() {
+            4 => 16,
+            _ => self.dag.flops(),
         }
     }
 
-    /// Apply: `out = DFT_n(input)`. `scratch` is reused storage for the
-    /// DAG interpreter.
-    #[inline]
-    pub fn apply(&self, input: &[Cplx], out: &mut [Cplx], scratch: &mut Vec<Cplx>) {
-        match self {
-            Codelet::F2 => {
-                let (a, b) = (input[0], input[1]);
-                out[0] = a + b;
-                out[1] = a - b;
-            }
-            Codelet::F4 => {
-                // DFT_4 = (F2 ⊗ I2) T^4_2 (I2 ⊗ F2) L^4_2, fully unrolled.
-                let t0 = input[0] + input[2];
-                let t1 = input[0] - input[2];
-                let t2 = input[1] + input[3];
-                let t3 = (input[1] - input[3]).mul_neg_i(); // twiddle ω_4 = -i
-                out[0] = t0 + t2;
-                out[2] = t0 - t2;
-                out[1] = t1 + t3;
-                out[3] = t1 - t3;
-            }
-            Codelet::F8 => {
-                // Radix-2 DIT, constants √2/2 folded.
-                const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-                let w8 = Cplx::new(H, -H); // ω_8
-                let w83 = Cplx::new(-H, -H); // ω_8³
-                                             // Stage 1: DFT_2 on (0,4),(2,6),(1,5),(3,7)
-                let a0 = input[0] + input[4];
-                let a1 = input[0] - input[4];
-                let a2 = input[2] + input[6];
-                let a3 = input[2] - input[6];
-                let a4 = input[1] + input[5];
-                let a5 = input[1] - input[5];
-                let a6 = input[3] + input[7];
-                let a7 = input[3] - input[7];
-                // Stage 2: DFT_2 with twiddles (radix-2 on halves)
-                let b0 = a0 + a2;
-                let b2 = a0 - a2;
-                let b1 = a1 + a3.mul_neg_i();
-                let b3 = a1 - a3.mul_neg_i();
-                let b4 = a4 + a6;
-                let b6 = a4 - a6;
-                let b5 = a5 + a7.mul_neg_i();
-                let b7 = a5 - a7.mul_neg_i();
-                // Stage 3: combine with ω_8 twiddles
-                out[0] = b0 + b4;
-                out[4] = b0 - b4;
-                let t5 = b5 * w8;
-                out[1] = b1 + t5;
-                out[5] = b1 - t5;
-                let t6 = b6.mul_neg_i();
-                out[2] = b2 + t6;
-                out[6] = b2 - t6;
-                let t7 = b7 * w83;
-                out[3] = b3 + t7;
-                out[7] = b3 - t7;
-            }
-            Codelet::Dag(d) => d.eval(input, out, scratch),
-        }
-    }
-
-    /// Vector apply: `NU` independent transforms in lane-grouped layout —
-    /// slot `t` of the `c`-point transform occupies `input[t·NU..(t+1)·NU]`
-    /// (lane `l` of slot `t` at `t·NU + l`), and likewise for `out`. Each
-    /// lane computes exactly the operation sequence of [`apply`]
-    /// (hand-unrolled kernels) or of the generated DAG, so per-lane results
-    /// are bit-identical to `NU` scalar applications.
-    #[inline]
-    pub fn apply_lanes<const NU: usize>(
-        &self,
-        input: &[Cplx],
-        out: &mut [Cplx],
-        scratch: &mut Vec<Cplx>,
-    ) {
-        use crate::simd::Lanes;
-        let ld = |t: usize| Lanes::<NU>::load(&input[t * NU..]);
-        match self {
-            Codelet::F2 => {
-                let (a, b) = (ld(0), ld(1));
-                (a + b).store(&mut out[0..]);
-                (a - b).store(&mut out[NU..]);
-            }
-            Codelet::F4 => {
-                let t0 = ld(0) + ld(2);
-                let t1 = ld(0) - ld(2);
-                let t2 = ld(1) + ld(3);
-                let t3 = (ld(1) - ld(3)).mul_neg_i();
-                (t0 + t2).store(&mut out[0..]);
-                (t0 - t2).store(&mut out[2 * NU..]);
-                (t1 + t3).store(&mut out[NU..]);
-                (t1 - t3).store(&mut out[3 * NU..]);
-            }
-            Codelet::F8 => {
-                const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-                let w8 = Cplx::new(H, -H);
-                let w83 = Cplx::new(-H, -H);
-                let a0 = ld(0) + ld(4);
-                let a1 = ld(0) - ld(4);
-                let a2 = ld(2) + ld(6);
-                let a3 = ld(2) - ld(6);
-                let a4 = ld(1) + ld(5);
-                let a5 = ld(1) - ld(5);
-                let a6 = ld(3) + ld(7);
-                let a7 = ld(3) - ld(7);
-                let b0 = a0 + a2;
-                let b2 = a0 - a2;
-                let b1 = a1 + a3.mul_neg_i();
-                let b3 = a1 - a3.mul_neg_i();
-                let b4 = a4 + a6;
-                let b6 = a4 - a6;
-                let b5 = a5 + a7.mul_neg_i();
-                let b7 = a5 - a7.mul_neg_i();
-                (b0 + b4).store(&mut out[0..]);
-                (b0 - b4).store(&mut out[4 * NU..]);
-                let t5 = b5.mul_const(w8);
-                (b1 + t5).store(&mut out[NU..]);
-                (b1 - t5).store(&mut out[5 * NU..]);
-                let t6 = b6.mul_neg_i();
-                (b2 + t6).store(&mut out[2 * NU..]);
-                (b2 - t6).store(&mut out[6 * NU..]);
-                let t7 = b7.mul_const(w83);
-                (b3 + t7).store(&mut out[3 * NU..]);
-                (b3 - t7).store(&mut out[7 * NU..]);
-            }
-            Codelet::Dag(d) => d.eval_lanes::<NU>(input, out, scratch),
+    /// The stage runner for lane width `nu` (1, 2 or 4).
+    pub(crate) fn runner(&self, nu: usize) -> StageFn {
+        match nu {
+            2 => self.runners[1],
+            4 => self.runners[2],
+            _ => self.runners[0],
         }
     }
 }
@@ -276,11 +168,86 @@ fn dft_symbolic(b: &mut DagBuilder, xs: &[Id]) -> Vec<Id> {
     y
 }
 
+/// The Rust source of `codelet/generated.rs`: for each n in
+/// 2..=[`MAX_GENERATED`], a kernel `Dft{n}` that evaluates the
+/// `DFT_n` DAG in place on ν lanes, one `let` per live node in DAG order,
+/// plus the table that resolves a size to its stage runner. Regenerate
+/// the file with
+/// `cargo run -q -p spiral-codegen --example gen_codelets > crates/codegen/src/codelet/generated.rs`;
+/// a test fails when the committed file and this generator disagree.
+pub fn generated_source() -> String {
+    let mut s = String::from(
+        "//! Generated straight-line DFT kernels — do not edit; see\n\
+         //! [`super::generated_source`] for how to regenerate.\n\n\
+         use crate::simd::Lanes;\n\
+         use crate::stage::{run_stage, Kernel, StageFn};\n\
+         use spiral_spl::cplx::Cplx;\n\n\
+         /// The stage runner of the generated `DFT_c` kernel at ν lanes.\n\
+         pub(crate) fn runner<const NU: usize>(c: usize) -> Option<StageFn> {\n\
+         \x20   let f: StageFn = match c {\n",
+    );
+    for n in 2..=MAX_GENERATED {
+        let _ = writeln!(
+            s,
+            "        {n} => |k, s, d| run_stage::<{n}, NU, _>(k, s, d, Dft{n}),"
+        );
+    }
+    s.push_str("        _ => return None,\n    };\n    Some(f)\n}\n");
+    for n in 2..=MAX_GENERATED {
+        emit_kernel(&mut s, &generate_dft_dag(n));
+    }
+    s
+}
+
+/// Print one DAG as an in-place ν-lane kernel.
+fn emit_kernel(s: &mut String, d: &Dag) {
+    let n = d.n_inputs;
+    let name = |id: Id| match d.nodes[id as usize] {
+        Node::Input(i) => format!("x{i}"),
+        _ => format!("t{id}"),
+    };
+    let _ = writeln!(
+        s,
+        "\n/// `DFT_{n}` on ν lanes, in place ({} flops per lane).\n\
+         pub(crate) struct Dft{n};\n\n\
+         impl Kernel<{n}> for Dft{n} {{\n\
+         \x20   #[inline(always)]\n\
+         \x20   fn run<const NU: usize>(&mut self, v: &mut [Lanes<NU>; {n}]) {{",
+        d.flops()
+    );
+    let inputs: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+    let _ = writeln!(s, "        let [{}] = *v;", inputs.join(", "));
+    for (id, node) in d.nodes.iter().enumerate() {
+        let expr = match *node {
+            Node::Input(_) => continue,
+            Node::Add(a, b) => format!("{} + {};", name(a), name(b)),
+            Node::Sub(a, b) => format!("{} - {};", name(a), name(b)),
+            // Constants print as exact bit patterns, their values in a
+            // comment.
+            Node::Mul(a, c) => format!(
+                "{}.mul_const(Cplx::new(f64::from_bits({:#x}), f64::from_bits({:#x}))); // {:?}, {:?}",
+                name(a),
+                c.re.to_bits(),
+                c.im.to_bits(),
+                c.re,
+                c.im
+            ),
+            Node::MulI(a) => format!("{}.mul_i();", name(a)),
+            Node::MulNegI(a) => format!("{}.mul_neg_i();", name(a)),
+            Node::Neg(a) => format!("-{};", name(a)),
+        };
+        let _ = writeln!(s, "        let t{id} = {expr}");
+    }
+    let outputs: Vec<String> = d.outputs.iter().map(|&o| name(o)).collect();
+    let _ = writeln!(s, "        *v = [{}];\n    }}\n}}", outputs.join(", "));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::KernelStage;
     use spiral_spl::apply::naive_dft;
-    use spiral_spl::cplx::assert_slices_close;
+    use spiral_spl::cplx::{assert_slices_close, Cplx};
 
     fn rand_input(n: usize, seed: u64) -> Vec<Cplx> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
@@ -299,40 +266,44 @@ mod tests {
             .collect()
     }
 
-    fn check_codelet(n: usize) {
-        let c = Codelet::for_size(n);
-        assert_eq!(c.size(), n);
-        let mut scratch = Vec::new();
-        for seed in 1..4 {
-            let x = rand_input(n, seed);
-            let mut got = vec![Cplx::ZERO; n];
-            c.apply(&x, &mut got, &mut scratch);
-            let mut want = vec![Cplx::ZERO; n];
-            naive_dft(n, &x, &mut want);
-            assert_slices_close(&got, &want, 1e-10 * n as f64);
+    fn apply(c: Codelet, x: &[Cplx]) -> Vec<Cplx> {
+        let mut y = vec![Cplx::ZERO; x.len()];
+        KernelStage::unit(c).apply(x, &mut y);
+        y
+    }
+
+    #[test]
+    fn generated_kernels_are_fresh() {
+        assert!(
+            include_str!("generated.rs") == generated_source(),
+            "codelet/generated.rs is stale; regenerate it with `cargo run -q -p \
+             spiral-codegen --example gen_codelets > crates/codegen/src/codelet/generated.rs`"
+        );
+    }
+
+    #[test]
+    fn codelets_match_definition_all_sizes() {
+        for n in 1..=32 {
+            let c = Codelet::for_size(n);
+            assert_eq!(c.size(), n);
+            for seed in 1..4 {
+                let x = rand_input(n, seed + n as u64);
+                let mut want = vec![Cplx::ZERO; n];
+                naive_dft(n, &x, &mut want);
+                assert_slices_close(&apply(c.clone(), &x), &want, 1e-9 * n as f64);
+            }
         }
     }
 
     #[test]
-    fn hand_unrolled_kernels_match_definition() {
-        check_codelet(2);
-        check_codelet(4);
-        check_codelet(8);
-    }
-
-    #[test]
-    fn generated_dags_match_definition_all_sizes() {
-        for n in 1..=32 {
-            let dag = generate_dft_dag(n);
-            assert_eq!(dag.n_inputs, n);
-            assert_eq!(dag.outputs.len(), n);
-            let x = rand_input(n, n as u64);
-            let mut got = vec![Cplx::ZERO; n];
-            let mut scratch = Vec::new();
-            dag.eval(&x, &mut got, &mut scratch);
-            let mut want = vec![Cplx::ZERO; n];
-            naive_dft(n, &x, &mut want);
-            assert_slices_close(&got, &want, 1e-9 * n as f64);
+    fn generated_kernels_equal_dag_interpreter_bitwise() {
+        for n in 2..=MAX_GENERATED {
+            let x = rand_input(n, 99 + n as u64);
+            let (gen, dag) = (
+                apply(Codelet::for_size(n), &x),
+                apply(Codelet::interpreted(n), &x),
+            );
+            assert_eq!(gen, dag, "n={n}");
         }
     }
 
@@ -361,33 +332,13 @@ mod tests {
             let c = Codelet::for_size(n);
             assert!(c.flops() > 0, "n={n}");
         }
-        assert_eq!(Codelet::F2.flops(), 4);
-    }
-
-    #[test]
-    fn dag_matches_hand_unrolled() {
-        // The emitter uses dag() even for hand-unrolled sizes; they must
-        // agree numerically.
-        let mut scratch = Vec::new();
-        for n in [2usize, 4, 8] {
-            let hand = Codelet::for_size(n);
-            let dag = hand.dag();
-            let x = rand_input(n, 99 + n as u64);
-            let mut a = vec![Cplx::ZERO; n];
-            let mut b = vec![Cplx::ZERO; n];
-            hand.apply(&x, &mut a, &mut scratch);
-            dag.eval(&x, &mut b, &mut scratch);
-            assert_slices_close(&a, &b, 1e-12);
-        }
+        assert_eq!(Codelet::for_size(2).flops(), 4);
+        assert_eq!(Codelet::for_size(4).flops(), 16);
     }
 
     #[test]
     fn size_one_is_identity() {
-        let c = Codelet::for_size(1);
         let x = [Cplx::new(2.5, -1.0)];
-        let mut y = [Cplx::ZERO];
-        let mut scratch = Vec::new();
-        c.apply(&x, &mut y, &mut scratch);
-        assert!(y[0].approx_eq(x[0], 0.0));
+        assert_eq!(apply(Codelet::for_size(1), &x), x);
     }
 }

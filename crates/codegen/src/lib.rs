@@ -8,7 +8,8 @@
 //!   diagonals fold into adjacent compute loops, so a Cooley–Tukey
 //!   formula becomes `log N` kernel passes;
 //! * [`codelet`] — genfft-style straight-line base-case kernels produced
-//!   by partial evaluation, with hand-tuned paths for sizes 2/4/8;
+//!   by partial evaluation, compiled ahead of time for sizes 2..8;
+//! * [`stage`] — the stage IR and the one stage loop that executes it;
 //! * [`plan`] — the executable [`plan::Plan`]: steps separated by
 //!   barriers, with the tagged parallel operators mapped to statically
 //!   scheduled parallel steps;

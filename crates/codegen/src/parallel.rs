@@ -29,8 +29,7 @@
 //! corruption) can be injected at any `(stage, thread)` point via
 //! `spiral_smp::faults` to exercise all of the above.
 
-use crate::plan::{Plan, Step};
-use crate::stage::Scratch;
+use crate::plan::{run_chunk, share, Plan, Step};
 use spiral_smp::align::AlignedVec;
 use spiral_smp::barrier::{Barrier, BarrierKind};
 use spiral_smp::error::{lock_recover, SpiralError};
@@ -304,7 +303,6 @@ impl ParallelExecutor {
 
         let job = |tid: usize| {
             let mut tmp: AlignedVec<Cplx> = AlignedVec::new(tmp_dim);
-            let mut scratch = Scratch::default();
             for (si, step) in plan.steps.iter().enumerate() {
                 if failed.load(Ordering::Acquire) {
                     break;
@@ -333,17 +331,7 @@ impl ParallelExecutor {
                 };
                 #[cfg(feature = "trace")]
                 let compute_t0 = tr.observing().then(std::time::Instant::now);
-                run_step_portion(
-                    step,
-                    n,
-                    plan.mu.max(1),
-                    tid,
-                    threads,
-                    src,
-                    dst,
-                    &mut tmp,
-                    &mut scratch,
-                );
+                run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, &mut tmp);
                 #[cfg(feature = "trace")]
                 let compute_t1 = tr.observing().then(std::time::Instant::now);
                 #[cfg(feature = "faults")]
@@ -515,14 +503,13 @@ fn run_step_portion(
     src: &[Cplx],
     dst: *mut Cplx,
     tmp: &mut [Cplx],
-    scratch: &mut Scratch,
 ) {
     match step {
         Step::Seq(prog) => {
             if tid == 0 {
                 // Safety: only thread 0 writes during a Seq step.
                 let dst = unsafe { std::slice::from_raw_parts_mut(dst, n) };
-                prog.run(src, dst, tmp, scratch);
+                prog.run(src, dst, tmp);
             }
         }
         Step::Par {
@@ -530,24 +517,13 @@ fn run_step_portion(
             programs,
             gather,
         } => {
-            for (c, prog) in programs.iter().enumerate() {
-                if c % threads != tid {
-                    continue;
-                }
-                let s = c * chunk;
+            for c in (tid..programs.len()).step_by(threads) {
                 // Safety: chunk ranges are disjoint across c, and each c
                 // is handled by exactly one thread. Gathered reads touch
                 // the whole (read-only this step) src buffer.
-                let dst_chunk = unsafe { std::slice::from_raw_parts_mut(dst.add(s), *chunk) };
-                let view = match gather {
-                    Some(g) => crate::stage::SrcView::Gathered {
-                        buf: src,
-                        gather: g,
-                        off: s,
-                    },
-                    None => crate::stage::SrcView::Local(&src[s..s + chunk]),
-                };
-                prog.run_view(view, dst_chunk, &mut tmp[..*chunk], scratch);
+                let dst_chunk =
+                    unsafe { std::slice::from_raw_parts_mut(dst.add(c * chunk), *chunk) };
+                run_chunk(*chunk, programs, gather, c, src, dst_chunk, tmp);
             }
         }
         Step::Exchange { table, mu } => {
@@ -621,13 +597,6 @@ fn portion_stats(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usi
             (u64::from(hi > lo), (hi.saturating_sub(lo)) as u64)
         }
     }
-}
-
-fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
-    let base = total / p;
-    let rem = total % p;
-    let lo = tid * base + tid.min(rem);
-    (lo, lo + base + usize::from(tid < rem))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
-use crate::stage::{LocalProgram, LocalStage, Scratch};
+use crate::stage::{LocalProgram, LocalStage, SrcView};
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
@@ -258,70 +258,86 @@ impl Plan {
     }
 
     /// Reference sequential execution into a caller-owned output slice,
-    /// reusing `ws` across calls. This is the allocation-free core of
-    /// [`execute`](Self::execute) and the per-thread inner loop of the
-    /// batch executor: re-running the same plan over many inputs touches
-    /// only the workspace buffers, so repeated transforms pay no
-    /// per-call allocation. Identical arithmetic to `execute` (both run
-    /// this code), so outputs are bitwise equal.
+    /// reusing `ws` across calls. Step 0 reads `x` and the last step
+    /// writes `out` directly; only the values between steps pass through
+    /// the workspace, so a one-step plan touches just the chunk
+    /// temporary. Re-running the same plan touches no allocator at all,
+    /// which makes this the per-thread inner loop of the batch executor.
+    /// Identical arithmetic to `execute` (both run this code), so outputs
+    /// are bitwise equal.
     pub fn execute_into(&self, x: &[Cplx], out: &mut [Cplx], ws: &mut PlanWorkspace) {
         assert_eq!(x.len(), self.n, "input length mismatch");
-        ws.prepare(self);
-        ws.a[..self.n].copy_from_slice(x);
-        self.execute_tail_into(0, out, ws);
+        assert_eq!(out.len(), self.n, "output length mismatch");
+        let Some((first, rest)) = self.steps.split_first() else {
+            out.copy_from_slice(x);
+            return;
+        };
+        ws.prepare(self, rest.len().min(2));
+        if rest.is_empty() {
+            self.run_step(first, x, out, &mut ws.tmp);
+        } else {
+            self.run_step(first, x, &mut ws.a[..self.n], &mut ws.tmp);
+            self.finish(rest, out, ws);
+        }
     }
 
     /// Run `steps[start..]` with the current intermediate values already
     /// staged in the workspace ping-pong buffer ([`PlanWorkspace::
-    /// stage_buffer`]), writing the final result to `out`. With
-    /// `start = 0` this is exactly [`execute_into`](Self::execute_into)
-    /// (which calls it); the dist backend uses `start > 0` to finish a
-    /// plan whose sharded prefix ran out of process.
+    /// stage_buffer`]), writing the final result to `out`. The dist
+    /// backend uses this to finish a plan whose sharded prefix ran out of
+    /// process.
     pub fn execute_tail_into(&self, start: usize, out: &mut [Cplx], ws: &mut PlanWorkspace) {
         assert_eq!(out.len(), self.n, "output length mismatch");
         assert!(start <= self.steps.len(), "tail start out of range");
-        ws.prepare(self);
-        // Exact-length views: the workspace may be sized for a larger
-        // plan, but programs assert on their buffer dimensions.
-        let mut a: &mut [Cplx] = &mut ws.a[..self.n];
-        let mut b: &mut [Cplx] = &mut ws.b[..self.n];
-        let tmp = &mut ws.tmp;
-        let scratch = &mut ws.scratch;
-        for step in &self.steps[start..] {
-            match step {
-                Step::Seq(p) => p.run(a, b, tmp, scratch),
-                Step::Par {
-                    chunk,
-                    programs,
-                    gather,
-                } => {
-                    for (c, prog) in programs.iter().enumerate() {
-                        let s = c * chunk;
-                        let view = match gather {
-                            Some(g) => crate::stage::SrcView::Gathered {
-                                buf: a,
-                                gather: g,
-                                off: s,
-                            },
-                            None => crate::stage::SrcView::Local(&a[s..s + chunk]),
-                        };
-                        prog.run_view(view, &mut b[s..s + chunk], &mut tmp[..*chunk], scratch);
-                    }
-                }
-                Step::Exchange { table, .. } => {
-                    for (i, &s) in table.iter().enumerate() {
-                        b[i] = a[s as usize];
-                    }
-                }
-                Step::ScaleAll(w) => {
-                    for i in 0..self.n {
-                        b[i] = a[i] * w[i];
-                    }
+        ws.prepare(self, 2);
+        self.finish(&self.steps[start..], out, ws);
+    }
+
+    /// Run `steps` on the value in `ws.a`, ping-ponging through `ws.b`,
+    /// with the last step writing `out`.
+    fn finish(&self, steps: &[Step], out: &mut [Cplx], ws: &mut PlanWorkspace) {
+        let PlanWorkspace { a, b, tmp } = ws;
+        let mut cur: &mut [Cplx] = &mut a[..self.n];
+        let Some((last, init)) = steps.split_last() else {
+            out.copy_from_slice(cur);
+            return;
+        };
+        let mut spare: &mut [Cplx] = if init.is_empty() {
+            &mut []
+        } else {
+            &mut b[..self.n]
+        };
+        for step in init {
+            self.run_step(step, cur, spare, tmp);
+            std::mem::swap(&mut cur, &mut spare);
+        }
+        self.run_step(last, cur, out, tmp);
+    }
+
+    /// Execute one step sequentially: `dst = step(src)`.
+    fn run_step(&self, step: &Step, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx]) {
+        match step {
+            Step::Seq(p) => p.run(src, dst, tmp),
+            Step::Par {
+                chunk,
+                programs,
+                gather,
+            } => {
+                for (c, dst) in dst.chunks_exact_mut(*chunk).enumerate() {
+                    run_chunk(*chunk, programs, gather, c, src, dst, tmp);
                 }
             }
-            std::mem::swap(&mut a, &mut b);
+            Step::Exchange { table, .. } => {
+                for (d, &s) in dst.iter_mut().zip(table.iter()) {
+                    *d = src[s as usize];
+                }
+            }
+            Step::ScaleAll(w) => {
+                for ((d, s), w) in dst.iter_mut().zip(src).zip(w.iter()) {
+                    *d = *s * *w;
+                }
+            }
         }
-        out.copy_from_slice(a);
     }
 
     /// Replay the parallel execution schedule into a [`MemHook`]: which
@@ -332,7 +348,7 @@ impl Plan {
         let (mut src, mut dst) = (Region::BufA, Region::BufB);
         for step in &self.steps {
             match step {
-                Step::Seq(p) => trace_local(p, 0, src, 0, dst, 0, hook),
+                Step::Seq(p) => trace_local(p, 0, src, 0, dst, 0, None, hook),
                 Step::Par {
                     chunk,
                     programs,
@@ -340,7 +356,7 @@ impl Plan {
                 } => {
                     for (c, prog) in programs.iter().enumerate() {
                         let tid = c % self.threads;
-                        trace_local_gathered(
+                        trace_local(
                             prog,
                             tid,
                             src,
@@ -383,15 +399,15 @@ impl Plan {
 }
 
 /// Reusable buffers for repeated sequential executions
-/// ([`Plan::execute_into`]): the ping-pong pair, the per-chunk temporary,
-/// and the codelet scratch. Sized lazily to the largest plan seen, so
-/// one workspace serves any mix of plans.
+/// ([`Plan::execute_into`]): the ping-pong pair that carries values
+/// between steps, and the per-chunk temporary. Each grows lazily to the
+/// largest plan seen and only when a plan needs it, so one workspace
+/// serves any mix of plans.
 #[derive(Default)]
 pub struct PlanWorkspace {
     a: Vec<Cplx>,
     b: Vec<Cplx>,
     tmp: Vec<Cplx>,
-    scratch: Scratch,
 }
 
 impl PlanWorkspace {
@@ -400,21 +416,47 @@ impl PlanWorkspace {
     /// shard gather) write the intermediate vector here, then finish
     /// with [`Plan::execute_tail_into`].
     pub fn stage_buffer(&mut self, plan: &Plan) -> &mut [Cplx] {
-        self.prepare(plan);
+        self.prepare(plan, 2);
         &mut self.a[..plan.n]
     }
 
-    /// Grow the buffers to fit `plan` (never shrinks).
-    fn prepare(&mut self, plan: &Plan) {
-        if self.a.len() < plan.n {
-            self.a.resize(plan.n, Cplx::ZERO);
-            self.b.resize(plan.n, Cplx::ZERO);
+    /// Grow the first `bufs` ping-pong buffers and the chunk temporary to
+    /// fit `plan` (never shrinks).
+    fn prepare(&mut self, plan: &Plan, bufs: usize) {
+        for buf in [&mut self.a, &mut self.b].into_iter().take(bufs) {
+            if buf.len() < plan.n {
+                buf.resize(plan.n, Cplx::ZERO);
+            }
         }
-        let local = plan.max_local_dim().max(1);
+        let local = plan.max_local_dim();
         if self.tmp.len() < local {
             self.tmp.resize(local, Cplx::ZERO);
         }
     }
+}
+
+/// Run chunk `c` of a `Par` step into `dst` (the chunk's slice of the
+/// step's output): its program reads the chunk of `src`, or the whole of
+/// `src` through the fused gather table.
+pub(crate) fn run_chunk(
+    chunk: usize,
+    programs: &[LocalProgram],
+    gather: &Option<Arc<Vec<u32>>>,
+    c: usize,
+    src: &[Cplx],
+    dst: &mut [Cplx],
+    tmp: &mut [Cplx],
+) {
+    let s = c * chunk;
+    let view = match gather {
+        Some(gather) => SrcView::Gathered {
+            buf: src,
+            gather,
+            off: s,
+        },
+        None => SrcView::Local(&src[s..s + chunk]),
+    };
+    programs[c].run_view(view, dst, &mut tmp[..chunk]);
 }
 
 /// A plan validator: `Err(description)` when `plan` violates the
@@ -452,20 +494,8 @@ pub(crate) fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-fn trace_local(
-    prog: &LocalProgram,
-    tid: usize,
-    src: Region,
-    src_off: usize,
-    dst: Region,
-    dst_off: usize,
-    hook: &mut dyn MemHook,
-) {
-    trace_local_gathered(prog, tid, src, src_off, dst, dst_off, None, hook);
-}
-
 #[allow(clippy::too_many_arguments)]
-fn trace_local_gathered(
+fn trace_local(
     prog: &LocalProgram,
     tid: usize,
     src: Region,

@@ -17,7 +17,7 @@
 //! — the property the dist proptests assert.
 
 use crate::plan::{Plan, Step};
-use crate::stage::{Scratch, SrcView};
+use crate::stage::SrcView;
 use spiral_spl::cplx::Cplx;
 
 /// One worker's contiguous partition of the sharded prefix.
@@ -175,7 +175,6 @@ pub struct ShardWorkspace {
     a: Vec<Cplx>,
     b: Vec<Cplx>,
     tmp: Vec<Cplx>,
-    scratch: Scratch,
 }
 
 impl ShardWorkspace {
@@ -214,7 +213,6 @@ pub fn execute_shard_into(
     let mut a: &mut [Cplx] = &mut ws.a[..r.len];
     let mut b: &mut [Cplx] = &mut ws.b[..r.len];
     let tmp = &mut ws.tmp;
-    let scratch = &mut ws.scratch;
     a.copy_from_slice(input);
     for step in &plan.steps[..spec.shard_steps] {
         let Step::Par {
@@ -229,12 +227,7 @@ pub fn execute_shard_into(
         for (k, prog) in programs[lo..hi].iter().enumerate() {
             let local = (lo + k) * chunk - r.offset;
             let view = SrcView::Local(&a[local..local + chunk]);
-            prog.run_view(
-                view,
-                &mut b[local..local + chunk],
-                &mut tmp[..*chunk],
-                scratch,
-            );
+            prog.run_view(view, &mut b[local..local + chunk], &mut tmp[..*chunk]);
         }
         std::mem::swap(&mut a, &mut b);
     }

@@ -11,8 +11,8 @@
 //!
 //! The backend degrades gracefully: hosts without a useful vector unit
 //! (or builds with the `force-scalar` feature) report width 1 and every
-//! `vec(ν)`-tagged stage executes through the scalar interpreter path,
-//! bit-identical to an untagged plan.
+//! `vec(ν)`-tagged stage runs the stage loop at ν = 1, bit-identical to
+//! an untagged plan.
 
 use spiral_spl::cplx::Cplx;
 

@@ -8,7 +8,9 @@
 //! separate passes but folded into the adjacent compute loop.
 
 use crate::codelet::Codelet;
+use crate::simd::Lanes;
 use spiral_spl::cplx::Cplx;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One loop dimension of a kernel stage's iteration space.
@@ -116,174 +118,31 @@ impl KernelStage {
     /// Enumerate the iteration space in execution order:
     /// `f(flat, in_base, out_base)` for every flat iteration, where the
     /// bases are the affine indices *before* `in_map`/`out_map`
-    /// indirection and `t`-stride offsets. This is the IR hook the
-    /// certification passes (`spiral-verify::certify`) use to replay a
-    /// stage's exact access pattern — including the `flat` index that
-    /// [`trace`](Self::trace) discards but twiddle lookup
-    /// (`twiddle[flat·c + t]`) depends on.
+    /// indirection and `t`-stride offsets. This is the same walk the
+    /// stage loop executes, so the certification passes
+    /// (`spiral-verify::certify`) and the simulator trace replay exactly
+    /// the executed access pattern — including the `flat` index that
+    /// twiddle lookup (`twiddle[flat·c + t]`) depends on.
     pub fn for_each_iteration<F: FnMut(usize, usize, usize)>(&self, mut f: F) {
-        let d = self.loops.len();
-        let mut idx = vec![0usize; d];
-        let mut in_base = self.in_off;
-        let mut out_base = self.out_off;
-        let total = self.iterations();
-        for flat in 0..total {
-            f(flat, in_base, out_base);
-            // Odometer increment (innermost dimension last).
-            for k in (0..d).rev() {
-                idx[k] += 1;
-                in_base += self.loops[k].in_stride;
-                out_base += self.loops[k].out_stride;
-                if idx[k] < self.loops[k].count {
-                    break;
-                }
-                idx[k] = 0;
-                in_base -= self.loops[k].count * self.loops[k].in_stride;
-                out_base -= self.loops[k].count * self.loops[k].out_stride;
-            }
-        }
+        walk_loops(&self.loops, 1, 0, self.in_off, self.out_off, &mut f);
     }
 
     /// Execute `dst = stage(src)`.
-    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        self.apply_view(SrcView::Local(src), dst, scratch);
+    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx]) {
+        self.apply_view(SrcView::Local(src), dst);
     }
 
     /// Execute with an arbitrary input view (local slice or fused global
-    /// gather). The view dispatch is monomorphized out of the inner loop.
-    /// Stages marked by the `vectorize` pass take the ν-lane path when
-    /// the view is a plain local slice; gathered views (fused exchanges
-    /// read the *global* buffer through an arbitrary table, so lane
-    /// groups need not be contiguous there) fall back to the scalar
-    /// interpretation, which is always valid for vector-marked IR.
-    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx], scratch: &mut Scratch) {
-        let vec_width = if cfg!(feature = "force-scalar") {
+    /// gather) through the runner the codelet resolved for this stage's
+    /// lane width. `force-scalar` builds run every stage at ν = 1, which
+    /// is valid for vector-marked IR too.
+    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
+        let nu = if cfg!(feature = "force-scalar") {
             1
         } else {
             self.vec_width
         };
-        match src {
-            SrcView::Local(s) => match vec_width {
-                2 => self.apply_vector::<2>(s, dst, scratch),
-                4 => self.apply_vector::<4>(s, dst, scratch),
-                _ => self.apply_inner(|i| s[i], dst, scratch),
-            },
-            SrcView::Gathered { buf, gather, off } => {
-                self.apply_inner(|i| buf[gather[off + i] as usize], dst, scratch);
-            }
-        }
-    }
-
-    /// ν-lane execution: processes lane groups of `NU` consecutive flat
-    /// iterations at once. The innermost lane loop has unit strides, so
-    /// slot `t` of a group is `NU` consecutive complex elements on both
-    /// the gather and scatter side; twiddles read the lane-grouped
-    /// tables. Per-lane arithmetic matches the scalar path op-for-op.
-    fn apply_vector<const NU: usize>(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        let c = self.codelet.size();
-        scratch.gather.resize(c * NU, Cplx::ZERO);
-        scratch.result.resize(c * NU, Cplx::ZERO);
-        let in_map = self.in_map.as_deref();
-        let out_map = self.out_map.as_deref();
-        let tw = self.twiddle_lanes.as_deref();
-        let tw_out = self.twiddle_out_lanes.as_deref();
-        self.for_each_iteration(|flat, in_base, out_base| {
-            if !flat.is_multiple_of(NU) {
-                return;
-            }
-            let gbase = (flat / NU) * c * NU;
-            for t in 0..c {
-                let a = in_base + t * self.in_t_stride;
-                let start = match in_map {
-                    Some(m) => m[a] as usize,
-                    None => a,
-                };
-                scratch.gather[t * NU..(t + 1) * NU].copy_from_slice(&src[start..start + NU]);
-            }
-            if let Some(w) = tw {
-                for (x, wv) in scratch.gather.iter_mut().zip(&w[gbase..gbase + c * NU]) {
-                    *x *= *wv;
-                }
-            }
-            self.codelet
-                .apply_lanes::<NU>(&scratch.gather, &mut scratch.result, &mut scratch.dag);
-            if let Some(w) = tw_out {
-                for (x, wv) in scratch.result.iter_mut().zip(&w[gbase..gbase + c * NU]) {
-                    *x *= *wv;
-                }
-            }
-            for t in 0..c {
-                let a = out_base + t * self.out_t_stride;
-                let start = match out_map {
-                    Some(m) => m[a] as usize,
-                    None => a,
-                };
-                dst[start..start + NU].copy_from_slice(&scratch.result[t * NU..(t + 1) * NU]);
-            }
-        });
-    }
-
-    fn apply_inner<G: Fn(usize) -> Cplx>(&self, get: G, dst: &mut [Cplx], scratch: &mut Scratch) {
-        let c = self.codelet.size();
-        scratch.gather.resize(c, Cplx::ZERO);
-        scratch.result.resize(c, Cplx::ZERO);
-        let in_map = self.in_map.as_deref();
-        let out_map = self.out_map.as_deref();
-        let twiddle = self.twiddle.as_deref();
-        let twiddle_out = self.twiddle_out.as_deref();
-        self.for_each_iteration(|flat, in_base, out_base| {
-            // Gather (with optional fused permutation and twiddle scaling)
-            // — specialized loops keep the per-element path branch-free.
-            match (in_map, twiddle) {
-                (None, None) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(in_base + t * self.in_t_stride);
-                    }
-                }
-                (Some(m), None) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(m[in_base + t * self.in_t_stride] as usize);
-                    }
-                }
-                (None, Some(w)) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(in_base + t * self.in_t_stride) * w[flat * c + t];
-                    }
-                }
-                (Some(m), Some(w)) => {
-                    for t in 0..c {
-                        scratch.gather[t] =
-                            get(m[in_base + t * self.in_t_stride] as usize) * w[flat * c + t];
-                    }
-                }
-            }
-            self.codelet
-                .apply(&scratch.gather, &mut scratch.result, &mut scratch.dag);
-            // Scatter (with optional fused trailing diagonal).
-            match (out_map, twiddle_out) {
-                (None, None) => {
-                    for t in 0..c {
-                        dst[out_base + t * self.out_t_stride] = scratch.result[t];
-                    }
-                }
-                (Some(m), None) => {
-                    for t in 0..c {
-                        dst[m[out_base + t * self.out_t_stride] as usize] = scratch.result[t];
-                    }
-                }
-                (None, Some(w)) => {
-                    for t in 0..c {
-                        dst[out_base + t * self.out_t_stride] = scratch.result[t] * w[flat * c + t];
-                    }
-                }
-                (Some(m), Some(w)) => {
-                    for t in 0..c {
-                        dst[m[out_base + t * self.out_t_stride] as usize] =
-                            scratch.result[t] * w[flat * c + t];
-                    }
-                }
-            }
-        });
+        (self.codelet.runner(nu))(self, src, dst);
     }
 
     /// Emit the memory-access stream of one execution (for the machine
@@ -312,15 +171,240 @@ impl KernelStage {
     }
 }
 
-/// Reusable per-thread scratch for kernel execution.
-#[derive(Default)]
-pub struct Scratch {
-    /// Gathered codelet input slots.
-    pub gather: Vec<Cplx>,
-    /// Codelet output slots.
-    pub result: Vec<Cplx>,
-    /// DAG-interpreter value store.
-    pub dag: Vec<Cplx>,
+/// Walk `loops` starting at flat index `flat` and bases `(i, o)`, calling
+/// `f(flat, in_base, out_base)` on every `nu`-th iteration of the
+/// innermost loop; returns the flat index after the last iteration. The
+/// recursion covers the outer loops; the innermost loop is a plain
+/// counted loop with `f` inlined into it.
+#[inline(always)]
+fn walk_loops<F: FnMut(usize, usize, usize)>(
+    loops: &[LoopDim],
+    nu: usize,
+    flat: usize,
+    i: usize,
+    o: usize,
+    f: &mut F,
+) -> usize {
+    match loops {
+        [] => {
+            f(flat, i, o);
+            flat + 1
+        }
+        [l] => {
+            for k in (0..l.count).step_by(nu) {
+                f(flat + k, i + k * l.in_stride, o + k * l.out_stride);
+            }
+            flat + l.count
+        }
+        [l, rest @ ..] => (0..l.count).fold(flat, |flat, k| {
+            walk_loops_outer(rest, nu, flat, i + k * l.in_stride, o + k * l.out_stride, f)
+        }),
+    }
+}
+
+/// Out-of-line recursion step of [`walk_loops`] (an `inline(always)`
+/// function cannot call itself).
+fn walk_loops_outer<F: FnMut(usize, usize, usize)>(
+    loops: &[LoopDim],
+    nu: usize,
+    flat: usize,
+    i: usize,
+    o: usize,
+    f: &mut F,
+) -> usize {
+    walk_loops(loops, nu, flat, i, o, f)
+}
+
+/// Runner of one kernel stage over an input view, resolved per
+/// `(codelet, ν)` when the codelet is built ([`resolve_runners`]).
+pub type StageFn = fn(&KernelStage, SrcView<'_>, &mut [Cplx]);
+
+/// Resolve the stage runners of a `DFT_c` codelet for ν = 1, 2, 4: the
+/// generated kernel when one exists (unless `interpret`), else the DAG
+/// interpreter in a frame of at least `c` slots.
+pub(crate) fn resolve_runners(c: usize, interpret: bool) -> [StageFn; 3] {
+    fn runner<const NU: usize>(c: usize, interpret: bool) -> StageFn {
+        match crate::codelet::generated_runner::<NU>(c) {
+            Some(f) if !interpret => f,
+            _ if c <= 16 => run_dag::<16, NU>,
+            _ => run_dag::<{ crate::lower::MAX_CODELET }, NU>,
+        }
+    }
+    [
+        runner::<1>(c, interpret),
+        runner::<2>(c, interpret),
+        runner::<4>(c, interpret),
+    ]
+}
+
+thread_local! {
+    /// Node-value store of the DAG interpreter, reused across calls.
+    static DAG_STORE: RefCell<Vec<Cplx>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A codelet kernel: `DFT_c` in place on a frame of `C ≥ c` ν-lane slots.
+pub(crate) trait Kernel<const C: usize> {
+    /// The transform size `c` (a constant for generated kernels, so the
+    /// slot loops around them unroll).
+    #[inline(always)]
+    fn slots(&self) -> usize {
+        C
+    }
+
+    /// Transform the first `c` slots of `v`.
+    fn run<const NU: usize>(&mut self, v: &mut [Lanes<NU>; C]);
+}
+
+/// The DAG interpreter as a kernel, for codelets without a generated one.
+struct DagKernel<'a> {
+    dag: &'a crate::codelet::dag::Dag,
+    store: &'a mut Vec<Cplx>,
+}
+
+impl<const C: usize> Kernel<C> for DagKernel<'_> {
+    fn slots(&self) -> usize {
+        self.dag.n_inputs
+    }
+
+    fn run<const NU: usize>(&mut self, v: &mut [Lanes<NU>; C]) {
+        self.dag.eval_lanes(&mut v[..self.dag.n_inputs], self.store);
+    }
+}
+
+/// Stage runner for codelets without a generated kernel.
+fn run_dag<const C: usize, const NU: usize>(ks: &KernelStage, src: SrcView<'_>, dst: &mut [Cplx]) {
+    let dag = &*ks.codelet.dag;
+    DAG_STORE.with_borrow_mut(|store| {
+        run_stage::<C, NU, _>(ks, src, dst, DagKernel { dag, store });
+    });
+}
+
+/// The stage loop. For each group of ν flat iterations (ν = `NU`) it
+/// loads the `c ≤ C` codelet slots straight from `src` — through the
+/// slot and loop strides, `in_map`, and the view's gather table — into a
+/// stack frame of lanes, scales them by the load twiddles, runs `kernel`
+/// in place, scales by the store twiddles, and stores straight to `dst`
+/// through `out_map`. No staging buffer, no per-call allocation. Vector
+/// stages read the lane-grouped twiddle tables; per-lane arithmetic is
+/// the scalar operation sequence, so ν-lane output is bitwise scalar.
+#[inline(always)]
+pub(crate) fn run_stage<const C: usize, const NU: usize, K: Kernel<C>>(
+    ks: &KernelStage,
+    src: SrcView<'_>,
+    dst: &mut [Cplx],
+    kernel: K,
+) {
+    match src {
+        SrcView::Local(src) => stage_loop::<C, NU, _, _>(ks, src, dst, kernel),
+        SrcView::Gathered { buf, gather, off } => {
+            let src = Gather {
+                buf,
+                gather: &gather[off..],
+            };
+            stage_loop::<C, NU, _, _>(ks, src, dst, kernel);
+        }
+    }
+}
+
+#[inline(always)]
+fn stage_loop<const C: usize, const NU: usize, S: Source, K: Kernel<C>>(
+    ks: &KernelStage,
+    src: S,
+    dst: &mut [Cplx],
+    kernel: K,
+) {
+    let c = kernel.slots();
+    assert!(c <= C, "DFT_{c} exceeds a {C}-slot frame");
+    let (tw, tw_out) = if NU == 1 {
+        (&ks.twiddle, &ks.twiddle_out)
+    } else {
+        (&ks.twiddle_lanes, &ks.twiddle_out_lanes)
+    };
+    let mut it = Iteration {
+        ks,
+        src,
+        dst,
+        kernel,
+        tw: tw.as_deref().map(Vec::as_slice),
+        tw_out: tw_out.as_deref().map(Vec::as_slice),
+    };
+    walk_loops(&ks.loops, NU, 0, ks.in_off, ks.out_off, &mut |f, i, o| {
+        it.run::<NU, C>(f, i, o);
+    });
+}
+
+/// Everything one iteration of the stage loop reads, hoisted out of it.
+struct Iteration<'a, S, K> {
+    ks: &'a KernelStage,
+    src: S,
+    dst: &'a mut [Cplx],
+    kernel: K,
+    tw: Option<&'a [Cplx]>,
+    tw_out: Option<&'a [Cplx]>,
+}
+
+impl<S: Source, K> Iteration<'_, S, K> {
+    /// One lane group at flat index `flat` with affine bases `(i, o)`.
+    #[inline(always)]
+    fn run<const NU: usize, const C: usize>(&mut self, flat: usize, i: usize, o: usize)
+    where
+        K: Kernel<C>,
+    {
+        let (ks, c) = (self.ks, self.kernel.slots());
+        // Slot t's twiddles start at flat·c + t·ν: `[flat·c + t]` in the
+        // scalar table, `[(flat/ν)·c·ν + t·ν + l]` in a lane-grouped one.
+        let w0 = flat * c;
+        let mut v = [Lanes::<NU>::ZERO; C];
+        for (t, slot) in v[..c].iter_mut().enumerate() {
+            let a = i + t * ks.in_t_stride;
+            let x = self
+                .src
+                .lanes(ks.in_map.as_deref().map_or(a, |m| m[a] as usize));
+            *slot = match self.tw {
+                Some(w) => x.mul_lanes(Lanes::load(&w[w0 + t * NU..])),
+                None => x,
+            };
+        }
+        self.kernel.run(&mut v);
+        for (t, &y) in v[..c].iter().enumerate() {
+            let y = match self.tw_out {
+                Some(w) => y.mul_lanes(Lanes::load(&w[w0 + t * NU..])),
+                None => y,
+            };
+            let a = o + t * ks.out_t_stride;
+            y.store(&mut self.dst[ks.out_map.as_deref().map_or(a, |m| m[a] as usize)..]);
+        }
+    }
+}
+
+/// Where the stage loop reads lane groups from.
+trait Source: Copy {
+    /// The ν logically consecutive elements starting at logical index `i`.
+    fn lanes<const NU: usize>(self, i: usize) -> Lanes<NU>;
+}
+
+impl Source for &[Cplx] {
+    #[inline(always)]
+    fn lanes<const NU: usize>(self, i: usize) -> Lanes<NU> {
+        Lanes::load(&self[i..])
+    }
+}
+
+/// A fused global gather: logical `i` reads `buf[gather[i]]`, lane by
+/// lane (the table need not keep a lane group contiguous).
+#[derive(Copy, Clone)]
+struct Gather<'a> {
+    buf: &'a [Cplx],
+    gather: &'a [u32],
+}
+
+impl Source for Gather<'_> {
+    #[inline(always)]
+    fn lanes<const NU: usize>(self, i: usize) -> Lanes<NU> {
+        Lanes(std::array::from_fn(|l| {
+            self.buf[self.gather[i + l] as usize]
+        }))
+    }
 }
 
 /// Input view of a stage: either a local slice, or an indirected view
@@ -343,7 +427,7 @@ pub enum SrcView<'a> {
     },
 }
 
-impl<'a> SrcView<'a> {
+impl SrcView<'_> {
     /// Value at logical index `i`.
     #[inline(always)]
     pub fn get(&self, i: usize) -> Cplx {
@@ -351,21 +435,6 @@ impl<'a> SrcView<'a> {
             SrcView::Local(s) => s[i],
             SrcView::Gathered { buf, gather, off } => buf[gather[off + i] as usize],
         }
-    }
-
-    /// The absolute index this view reads for logical index `i` (for
-    /// tracing: gathered views address the global buffer).
-    #[inline]
-    pub fn global_index(&self, i: usize) -> usize {
-        match self {
-            SrcView::Local(_) => i,
-            SrcView::Gathered { gather, off, .. } => gather[off + i] as usize,
-        }
-    }
-
-    /// True when this view reads through a gather table.
-    pub fn is_gathered(&self) -> bool {
-        matches!(self, SrcView::Gathered { .. })
     }
 }
 
@@ -391,15 +460,15 @@ impl LocalStage {
     }
 
     /// Execute `dst = stage(src)`.
-    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        self.apply_view(SrcView::Local(src), dst, scratch);
+    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx]) {
+        self.apply_view(SrcView::Local(src), dst);
     }
 
     /// Execute with an arbitrary input view (dispatch hoisted out of the
     /// element loops).
-    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx], scratch: &mut Scratch) {
+    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
         match self {
-            LocalStage::Kernel(k) => k.apply_view(src, dst, scratch),
+            LocalStage::Kernel(k) => k.apply_view(src, dst),
             LocalStage::Permute(t) => match src {
                 SrcView::Local(s) => {
                     for (d, &i) in dst.iter_mut().zip(t.iter()) {
@@ -473,19 +542,13 @@ impl LocalProgram {
 
     /// Execute `dst = program(src)`. `tmp` must have length ≥ `dim`; it is
     /// used for intermediate ping-ponging so `src` is never written.
-    pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx], scratch: &mut Scratch) {
-        self.run_view(SrcView::Local(src), dst, tmp, scratch);
+    pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx]) {
+        self.run_view(SrcView::Local(src), dst, tmp);
     }
 
     /// Execute with an arbitrary input view feeding the first stage
     /// (used by fused-exchange parallel steps).
-    pub fn run_view(
-        &self,
-        src: SrcView<'_>,
-        dst: &mut [Cplx],
-        tmp: &mut [Cplx],
-        scratch: &mut Scratch,
-    ) {
+    pub fn run_view(&self, src: SrcView<'_>, dst: &mut [Cplx], tmp: &mut [Cplx]) {
         let l = self.stages.len();
         assert!(dst.len() == self.dim);
         assert!(tmp.len() >= self.dim);
@@ -500,10 +563,10 @@ impl LocalProgram {
         for (k, stage) in self.stages.iter().enumerate() {
             let to_dst = (l - 1 - k).is_multiple_of(2);
             match (k == 0, to_dst) {
-                (true, true) => stage.apply_view(src, dst, scratch),
-                (true, false) => stage.apply_view(src, tmp, scratch),
-                (false, true) => stage.apply(tmp, dst, scratch),
-                (false, false) => stage.apply(dst, tmp, scratch),
+                (true, true) => stage.apply_view(src, dst),
+                (true, false) => stage.apply_view(src, tmp),
+                (false, true) => stage.apply(tmp, dst),
+                (false, false) => stage.apply(dst, tmp),
             }
         }
     }
@@ -512,8 +575,7 @@ impl LocalProgram {
     pub fn eval(&self, src: &[Cplx]) -> Vec<Cplx> {
         let mut dst = vec![Cplx::ZERO; self.dim];
         let mut tmp = vec![Cplx::ZERO; self.dim];
-        let mut scratch = Scratch::default();
-        self.run(src, &mut dst, &mut tmp, &mut scratch);
+        self.run(src, &mut dst, &mut tmp);
         dst
     }
 }
@@ -532,11 +594,11 @@ mod tests {
 
     #[test]
     fn unit_kernel_stage_is_plain_codelet() {
-        let stage = KernelStage::unit(Codelet::F2);
+        let stage = KernelStage::unit(Codelet::for_size(2));
         assert_eq!(stage.span(), 2);
         let x = ramp(2);
         let mut y = vec![Cplx::ZERO; 2];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y);
         assert!(y[0].approx_eq(x[0] + x[1], 1e-12));
         assert!(y[1].approx_eq(x[0] - x[1], 1e-12));
     }
@@ -544,7 +606,7 @@ mod tests {
     #[test]
     fn block_loop_matches_i_tensor_a() {
         // I_3 ⊗ F_2: 3 contiguous blocks.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 3,
             in_stride: 2,
@@ -553,7 +615,7 @@ mod tests {
         assert_eq!(stage.span(), 6);
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y);
         let want =
             spiral_spl::builder::tensor(spiral_spl::builder::i(3), spiral_spl::builder::f2())
                 .eval(&x);
@@ -563,7 +625,7 @@ mod tests {
     #[test]
     fn stride_loop_matches_a_tensor_i() {
         // F_2 ⊗ I_3: codelet at stride 3, loop stride 1.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.in_t_stride = 3;
         stage.out_t_stride = 3;
         stage.loops.push(LoopDim {
@@ -573,7 +635,7 @@ mod tests {
         });
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y);
         let want =
             spiral_spl::builder::tensor(spiral_spl::builder::f2(), spiral_spl::builder::i(3))
                 .eval(&x);
@@ -585,7 +647,7 @@ mod tests {
         // (I_2 ⊗ F_2) L^4_2 with the stride permutation fused as a gather.
         let l = Perm::stride(4, 2);
         let table: Arc<Vec<u32>> = Arc::new(l.table().iter().map(|&v| crate::u32_idx(v)).collect());
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -594,7 +656,7 @@ mod tests {
         stage.in_map = Some(table);
         let x = ramp(4);
         let mut y = vec![Cplx::ZERO; 4];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y);
         let want = spiral_spl::builder::compose(vec![
             spiral_spl::builder::tensor(spiral_spl::builder::i(2), spiral_spl::builder::f2()),
             spiral_spl::builder::stride(4, 2),
@@ -607,7 +669,7 @@ mod tests {
     fn fused_twiddle_scaling() {
         // (I_2 ⊗ F_2) · diag(w): twiddle applied on load.
         let w: Vec<Cplx> = (0..4).map(|k| Cplx::cis(0.3 * k as f64)).collect();
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -616,7 +678,7 @@ mod tests {
         stage.twiddle = Some(Arc::new(w.clone()));
         let x = ramp(4);
         let mut y = vec![Cplx::ZERO; 4];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y);
         let want = spiral_spl::builder::compose(vec![
             spiral_spl::builder::tensor(spiral_spl::builder::i(2), spiral_spl::builder::f2()),
             spiral_spl::builder::diag(w),
@@ -632,13 +694,13 @@ mod tests {
             Arc::new(perm.table().iter().map(|&v| crate::u32_idx(v)).collect());
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        LocalStage::Permute(table).apply(&x, &mut y, &mut Scratch::default());
+        LocalStage::Permute(table).apply(&x, &mut y);
         for r in 0..6 {
             assert!(y[r].approx_eq(x[perm.src(r)], 0.0));
         }
         let w: Vec<Cplx> = (0..6).map(|k| Cplx::real(k as f64)).collect();
         let mut z = vec![Cplx::ZERO; 6];
-        LocalStage::Scale(Arc::new(w.clone())).apply(&x, &mut z, &mut Scratch::default());
+        LocalStage::Scale(Arc::new(w.clone())).apply(&x, &mut z);
         for r in 0..6 {
             assert!(z[r].approx_eq(x[r] * w[r], 1e-12));
         }
@@ -648,7 +710,7 @@ mod tests {
     fn program_ping_pong_any_length() {
         // Four F2-block stages compose: (I2⊗F2)^4 = 4·(I2⊗I2)... i.e.
         // applying the same stage repeatedly; check against formula eval.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -681,7 +743,7 @@ mod tests {
 
     #[test]
     fn trace_covers_all_outputs_once() {
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 4,
             in_stride: 2,
@@ -702,7 +764,7 @@ mod tests {
 
     #[test]
     fn flop_accounting() {
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 4,
             in_stride: 2,

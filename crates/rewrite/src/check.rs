@@ -187,7 +187,7 @@ fn accumulate(f: &Spl, p: usize, mult: f64, acc: &mut [f64]) {
         }
         Spl::I(_) | Spl::Perm(_) | Spl::PermBar { .. } => {}
         Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => {
-            accumulate(a, p, mult, acc)
+            accumulate(a, p, mult, acc);
         }
         other => acc[0] += mult * flops(other),
     }

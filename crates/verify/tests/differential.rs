@@ -6,11 +6,20 @@
 //! `n ∈ 2²..2¹²`, `p ∈ {1, 2, 4}`, `ν ∈ {1, 2, 4}`. A deliberately
 //! mis-rotated twiddle table is the negative control: the harness must
 //! fail it, on both legs, proving the gate actually gates.
+//!
+//! The stage-shape suite at the end walks every shape the stage loop
+//! owns — fused `in_map`/`out_map` stages, unit stages without loops,
+//! generated leaves (3, 5, 6, 7), DAG-interpreted leaves (11, 13) and
+//! gathered parallel steps — at ν ∈ {1, 2, 4}, checking ν-lane output
+//! bitwise against scalar and scalar against an independent oracle.
 
 use proptest::prelude::*;
 use proptest::sample::select;
+use spiral_codegen::codelet::Codelet;
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::LocalStage;
+use spiral_codegen::stage::{KernelStage, LocalStage, LoopDim};
+use spiral_codegen::vectorize::vectorize_stage;
+use spiral_rewrite::ruletree::RuleTree;
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
@@ -267,6 +276,200 @@ fn vector_marking_and_bit_equality_sweep() {
                 0,
                 "n={n} nu={nu}: vector path not bit-identical to scalar"
             );
+        }
+    }
+}
+
+/// Independent oracle for one kernel stage: decodes each flat iteration
+/// into its loop indices (mixed radix, not the executor's walk), gathers
+/// through `in_map`, scales by `twiddle`, applies the naive DFT, scales
+/// by `twiddle_out` and scatters through `out_map`.
+fn stage_oracle(ks: &KernelStage, x: &[Cplx], dim: usize) -> Vec<Cplx> {
+    let c = ks.codelet.size();
+    let mut y = vec![Cplx::ZERO; dim];
+    for flat in 0..ks.iterations() {
+        let (mut rem, mut ib, mut ob) = (flat, ks.in_off, ks.out_off);
+        for l in ks.loops.iter().rev() {
+            ib += (rem % l.count) * l.in_stride;
+            ob += (rem % l.count) * l.out_stride;
+            rem /= l.count;
+        }
+        let map = |m: &Option<Arc<Vec<u32>>>, a: usize| m.as_ref().map_or(a, |m| m[a] as usize);
+        let slots: Vec<Cplx> = (0..c)
+            .map(|t| {
+                let v = x[map(&ks.in_map, ib + t * ks.in_t_stride)];
+                ks.twiddle.as_ref().map_or(v, |w| v * w[flat * c + t])
+            })
+            .collect();
+        for (t, v) in reference_dft(&slots).into_iter().enumerate() {
+            let v = ks.twiddle_out.as_ref().map_or(v, |w| v * w[flat * c + t]);
+            y[map(&ks.out_map, ob + t * ks.out_t_stride)] = v;
+        }
+    }
+    y
+}
+
+/// Run `ks` at ν = 1, 2, 4 (where the vectorizer accepts it): every
+/// width must be bitwise equal to the scalar run, and the scalar run
+/// must match the oracle. Returns the widths that took the lane path.
+fn check_stage_widths(ks: &KernelStage, dim: usize, seed: u64) -> Vec<usize> {
+    let x = random_input(dim, seed);
+    let mut scalar = vec![Cplx::ZERO; dim];
+    ks.apply(&x, &mut scalar);
+    let want = stage_oracle(ks, &x, dim);
+    let err = spiral_spl::cplx::max_dist(&scalar, &want);
+    assert!(
+        err <= 1e-12 * (dim as f64),
+        "{:?}: scalar vs oracle {err:.3e}",
+        ks.codelet
+    );
+    let mut vectorized = Vec::new();
+    for nu in [2usize, 4] {
+        let mut v = ks.clone();
+        if !vectorize_stage(&mut v, nu) {
+            continue;
+        }
+        vectorized.push(nu);
+        let mut y = vec![Cplx::ZERO; dim];
+        v.apply(&x, &mut y);
+        assert_eq!(
+            max_ulps(&y, &scalar),
+            0,
+            "{:?} nu={nu}: lanes differ from scalar",
+            ks.codelet
+        );
+    }
+    vectorized
+}
+
+/// Unit complex table of `len` pseudo-random twiddles.
+fn unit_table(len: usize, seed: u64) -> Arc<Vec<Cplx>> {
+    Arc::new(
+        random_input(len, seed)
+            .into_iter()
+            .map(|z| Cplx::cis(3.0 * z.re))
+            .collect(),
+    )
+}
+
+/// Lane-contiguous block permutation of `dim` elements: blocks of 4 are
+/// permuted as wholes, so the map keeps ν-groups contiguous for ν ≤ 4.
+fn block_map(dim: usize, mult: usize) -> Arc<Vec<u32>> {
+    let blocks = dim / 4;
+    Arc::new(
+        (0..dim)
+            .map(|i| u32::try_from((i / 4 * mult) % blocks * 4 + i % 4).unwrap())
+            .collect(),
+    )
+}
+
+#[test]
+fn stage_shapes_with_maps_and_twiddles() {
+    // I_4 ⊗ (DFT_c ⊗ I_4) with fused block-permutation maps and both
+    // twiddle tables: c = 4 (generated) and c = 11 (DAG).
+    for c in [4usize, 11] {
+        let dim = 16 * c;
+        let mut ks = KernelStage::unit(Codelet::for_size(c));
+        ks.in_t_stride = 4;
+        ks.out_t_stride = 4;
+        ks.loops = vec![
+            LoopDim {
+                count: 4,
+                in_stride: 4 * c,
+                out_stride: 4 * c,
+            },
+            LoopDim {
+                count: 4,
+                in_stride: 1,
+                out_stride: 1,
+            },
+        ];
+        ks.in_map = Some(block_map(dim, 3));
+        ks.out_map = Some(block_map(dim, if c == 4 { 5 } else { 7 }));
+        ks.twiddle = Some(unit_table(dim, 21));
+        ks.twiddle_out = Some(unit_table(dim, 22));
+        assert_eq!(check_stage_widths(&ks, dim, 5), [2, 4], "c={c}");
+    }
+}
+
+#[test]
+fn unit_stages_without_loops() {
+    // A bare codelet application: no loop nest, so no lane loop — the
+    // vectorizer must refuse every ν and the scalar run must be exact.
+    for c in [2usize, 3, 4, 5, 6, 7, 8, 11, 13] {
+        let ks = KernelStage::unit(Codelet::for_size(c));
+        assert!(check_stage_widths(&ks, c, c as u64).is_empty(), "c={c}");
+    }
+}
+
+/// `DFT_{16·leaf}` as `(DFT_leaf ⊗ I_16) T (I_leaf ⊗ DFT_16) L` with the
+/// 16-point factor split 4 × 4, so the leaf's stage has a 16-wide lane
+/// loop.
+fn leaf_formula(leaf: usize) -> Spl {
+    let four = || Box::new(RuleTree::Leaf(4));
+    RuleTree::Ct(
+        Box::new(RuleTree::Leaf(leaf)),
+        Box::new(RuleTree::Ct(four(), four())),
+    )
+    .expand()
+    .normalized()
+}
+
+#[test]
+fn generated_and_dag_leaves_at_every_width() {
+    // 3, 5, 6, 7 run generated kernels; 11 and 13 the DAG interpreter.
+    for leaf in [3usize, 5, 6, 7, 11, 13] {
+        let f = leaf_formula(leaf);
+        let n = 16 * leaf;
+        let scalar = Plan::from_formula(&f, 1, 4).unwrap();
+        for nu in [1usize, 2, 4] {
+            let x = random_input(n, 300 + leaf as u64);
+            let rep = differential_check(&f, 1, 4, nu, &x).unwrap();
+            assert!(
+                rep.passes(),
+                "leaf={leaf} nu={nu}: {} ulps, {:.3e} vs tol {:.3e}",
+                rep.ulps_vs_scalar,
+                rep.err_vs_reference,
+                rep.reference_tol
+            );
+            let vector = Plan::from_formula(&vec_tag(nu, f.clone()), 1, 4).unwrap();
+            assert_eq!(
+                vector.vec_width, nu,
+                "leaf={leaf} nu={nu}: nothing vectorized"
+            );
+            assert_eq!(max_ulps(&vector.execute(&x), &scalar.execute(&x)), 0);
+        }
+    }
+}
+
+#[test]
+fn gathered_parallel_steps_at_every_width() {
+    for (n, p) in [(256usize, 2usize), (1024, 2), (256, 4), (1024, 4)] {
+        let f = multicore_dft_expanded(n, p, 4, None, 8).unwrap();
+        let scalar = Plan::from_formula(&f, p, 4).unwrap().fuse_exchanges();
+        for nu in [1usize, 2, 4] {
+            let vector = Plan::from_formula(&vec_tag(nu, f.clone()), p, 4)
+                .unwrap()
+                .fuse_exchanges();
+            let gathered_vector = vector.steps.iter().any(|s| match s {
+                Step::Par {
+                    gather: Some(_),
+                    programs,
+                    ..
+                } => programs[0]
+                    .stages
+                    .iter()
+                    .any(|st| matches!(st, LocalStage::Kernel(k) if k.vec_width == nu)),
+                _ => false,
+            });
+            assert!(
+                gathered_vector,
+                "n={n} p={p} nu={nu}: no gathered ν-lane stage"
+            );
+            let x = random_input(n, 500 + (n * p * nu) as u64);
+            let rep = compare_plans(&vector, &scalar, &x);
+            assert!(rep.passes(), "n={n} p={p} nu={nu}: {rep:?}");
+            assert_eq!(rep.ulps_vs_scalar, 0, "n={n} p={p} nu={nu}");
         }
     }
 }
