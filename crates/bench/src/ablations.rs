@@ -335,7 +335,8 @@ pub struct FaultOverheadRow {
     /// path (`try_execute`: panic isolation, deadline-bounded barriers,
     /// output finiteness scan) — min over reps.
     pub exec_us: f64,
-    /// µs of the output finiteness scan alone (min over reps).
+    /// µs the output finiteness check adds to the executor's copy-out:
+    /// `to_vec_if_finite` minus a plain copy, each the min over reps.
     pub scan_us: f64,
     /// Scan cost as a percentage of the transform time.
     pub scan_pct: f64,
@@ -366,7 +367,7 @@ pub fn fault_overhead_ablation(
     use spiral_codegen::ParallelExecutor;
     use spiral_smp::barrier::BarrierKind;
     use spiral_smp::pool::Pool;
-    use spiral_spl::cplx::first_non_finite;
+    use spiral_spl::cplx::to_vec_if_finite;
     use std::time::Instant;
 
     let reps = reps.max(1);
@@ -395,9 +396,15 @@ pub fn fault_overhead_ablation(
                 .try_execute(&case.plan, &case.x)
                 .expect("healthy plan must execute");
         });
-        let scan_us = min_time_us(reps, || {
-            std::hint::black_box(first_non_finite(&out));
+        // The executor checks finiteness while it copies the result out,
+        // so the guard costs what that pass adds to a plain copy.
+        let copy_us = min_time_us(reps, || {
+            std::hint::black_box(out.to_vec());
         });
+        let checked_us = min_time_us(reps, || {
+            let _ = std::hint::black_box(to_vec_if_finite(&out));
+        });
+        let scan_us = (checked_us - copy_us).max(0.0);
         // Trace-based attribution: split the run into measured compute
         // and measured barrier wait instead of inferring barrier cost
         // from a standalone round-trip microbenchmark.

@@ -8,8 +8,9 @@
 //! transform: `B` independent size-`n` inputs are partitioned
 //! contiguously across the pool threads, each thread runs its whole
 //! transforms back-to-back through the allocation-free sequential
-//! interpreter ([`Plan::execute_into`]) with a reused per-thread
-//! workspace, and the entire batch costs **one** pool dispatch/join —
+//! interpreter ([`Plan::execute_into`]) with a per-thread workspace the
+//! executor keeps across dispatches, and the entire batch costs **one**
+//! pool dispatch/join —
 //! one synchronization set total, not one barrier per plan step per
 //! transform.
 //!
@@ -24,7 +25,7 @@
 //! caller, the pool watchdog bounds a wedged run, and non-finite values
 //! never leave the executor.
 
-use crate::plan::{Plan, PlanWorkspace};
+use crate::plan::{PerThread, Plan, PlanWorkspace};
 use spiral_smp::error::SpiralError;
 use spiral_smp::pool::Pool;
 use spiral_spl::cplx::{first_non_finite, Cplx};
@@ -34,6 +35,10 @@ use spiral_spl::cplx::{first_non_finite, Cplx};
 pub struct BatchExecutor {
     pool: Pool,
     threads: usize,
+    /// One sequential workspace per pool thread, reused by every batch.
+    /// The pool runs one dispatch at a time, so slot `tid` is only ever
+    /// used by thread `tid` of the running batch.
+    ws: PerThread<PlanWorkspace>,
 }
 
 /// Shared pointer to the per-transform output rows.
@@ -58,6 +63,7 @@ impl BatchExecutor {
         BatchExecutor {
             pool: Pool::new(threads),
             threads,
+            ws: PerThread::new(threads, PlanWorkspace::default),
         }
     }
 
@@ -85,7 +91,7 @@ impl BatchExecutor {
     /// identical to `plan.execute(&inputs[b])` (both run the same
     /// interpreter). Worker panics, a wedged pool, and non-finite output
     /// all return `Err` in bounded time, and the executor remains usable
-    /// afterwards.
+    /// afterwards. Concurrent callers run one after another.
     pub fn try_execute_batch(
         &self,
         plan: &Plan,
@@ -150,7 +156,7 @@ impl BatchExecutor {
 
         let job = |tid: usize| {
             let (lo, hi) = crate::plan::share(shared.len, threads, tid);
-            let mut ws = PlanWorkspace::default();
+            let mut ws = self.ws.slot(tid);
             // `b` indexes `inputs` and the raw `shared.rows` pointer in
             // lockstep; an iterator over `inputs` would hide that pairing.
             #[allow(clippy::needless_range_loop)]

@@ -5,6 +5,15 @@
 //! barrier per step, cache-line aligned shared buffers, and per-thread
 //! private scratch.
 //!
+//! ## Workspace
+//!
+//! The executor owns every buffer a run needs: the aligned ping-pong pair
+//! and one chunk temporary per thread. They are grow-only, sized by the
+//! first run that needs them and reused after that, so a warm run
+//! allocates only the `Vec` it returns. Step 0 reads the caller's input
+//! in place. The workspace sits behind a lock that a run holds from start
+//! to finish, which also serializes concurrent callers of one executor.
+//!
 //! ## Failure model
 //!
 //! [`ParallelExecutor::try_execute`] is the fallible entry point:
@@ -29,12 +38,12 @@
 //! corruption) can be injected at any `(stage, thread)` point via
 //! `spiral_smp::faults` to exercise all of the above.
 
-use crate::plan::{run_chunk, share, Plan, Step};
+use crate::plan::{run_chunk, share, PerThread, Plan, Step};
 use spiral_smp::align::AlignedVec;
 use spiral_smp::barrier::{Barrier, BarrierKind};
 use spiral_smp::error::{lock_recover, SpiralError};
 use spiral_smp::pool::Pool;
-use spiral_spl::cplx::{first_non_finite, Cplx};
+use spiral_spl::cplx::{first_non_finite, to_vec_if_finite, Cplx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -60,29 +69,88 @@ pub struct ParallelExecutor {
     barrier: Box<dyn Barrier>,
     threads: usize,
     watchdog: Duration,
+    /// Held for a whole run (the run lock).
+    ws: Mutex<StageWorkspace>,
 }
 
-/// Shared mutable buffer pointers for the workers.
+/// The buffers a run reuses: the cache-line aligned ping-pong pair and
+/// one chunk temporary per thread, each grown only when a plan needs
+/// more than it holds.
+struct StageWorkspace {
+    a: AlignedVec<Cplx>,
+    b: AlignedVec<Cplx>,
+    tmp: PerThread<AlignedVec<Cplx>>,
+}
+
+impl StageWorkspace {
+    fn new(threads: usize) -> StageWorkspace {
+        StageWorkspace {
+            a: AlignedVec::new(0),
+            b: AlignedVec::new(0),
+            tmp: PerThread::new(threads, || AlignedVec::new(0)),
+        }
+    }
+
+    /// Grow the ping-pong buffers a `steps`-step run of size `n` writes:
+    /// step 0 writes B, step 1 and later alternate A and B.
+    fn prepare(&mut self, n: usize, steps: usize) -> Result<(), SpiralError> {
+        for (buf, first_step) in [(&mut self.b, 0), (&mut self.a, 1)] {
+            if steps > first_step && buf.len() < n {
+                *buf = AlignedVec::try_with_alignment(n, spiral_smp::CACHE_LINE_BYTES)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The step sources and destinations shared by the workers: the
+/// caller's input and the workspace ping-pong pair.
 ///
 /// # Safety
 ///
 /// `Sync` is sound only for plans satisfying the invariant the
 /// `spiral-verify` analyzer checks statically over the stage IR: in every
 /// step, per-thread write index sets are pairwise disjoint and in bounds,
-/// and reads target only the opposite ping-pong buffer, whose contents
-/// were fixed before the barrier that opened the step. Under that
-/// invariant no two threads ever form a data race on `a`/`b` — writes are
-/// unaliased, and every read-after-write pair is ordered by a barrier.
+/// and reads target only the step's source — the input `x` at step 0,
+/// after that the opposite ping-pong buffer, whose contents were fixed
+/// before the barrier that opened the step. `x` is a shared borrow that
+/// no step writes. Under that invariant no two threads ever form a data
+/// race on `a`/`b` — writes are unaliased, and every read-after-write
+/// pair is ordered by a barrier. No other run touches `a`/`b` meanwhile:
+/// they belong to the executor's workspace, whose lock the run holds.
 /// All plans produced by `Plan::from_formula` satisfy it; debug builds
 /// additionally re-verify each plan through the [`crate::validate`]
 /// registry when an analyzer is installed
 /// (`spiral_verify::install_executor_guard`).
-struct SharedBufs {
+struct SharedBufs<'x> {
+    x: &'x [Cplx],
     a: *mut Cplx,
     b: *mut Cplx,
-    n: usize,
 }
-unsafe impl Sync for SharedBufs {}
+unsafe impl Sync for SharedBufs<'_> {}
+
+impl SharedBufs<'_> {
+    /// Source and destination of step `si`: step 0 reads `x` and writes
+    /// B, then odd steps read B and write A, even steps read A and
+    /// write B.
+    ///
+    /// # Safety
+    ///
+    /// The caller reads the source only after the barrier that closed
+    /// step `si - 1`, and writes only its own portion of the destination
+    /// (see the type's safety argument).
+    unsafe fn step(&self, si: usize) -> (&[Cplx], *mut Cplx) {
+        let n = self.x.len();
+        // SAFETY: `StageWorkspace::prepare` sized B for any step and A for
+        // step 1 on to at least `n` elements; the aliasing conditions are
+        // the caller's (above).
+        match si {
+            0 => (self.x, self.b),
+            _ if si % 2 == 1 => (unsafe { std::slice::from_raw_parts(self.b, n) }, self.a),
+            _ => (unsafe { std::slice::from_raw_parts(self.a, n) }, self.b),
+        }
+    }
+}
 
 /// The pool must outwait the stage barrier: when a run fails, survivors
 /// each burn at most one barrier deadline before draining, and a delayed
@@ -132,6 +200,7 @@ impl ParallelExecutor {
             barrier: kind.build(threads),
             threads,
             watchdog,
+            ws: Mutex::new(StageWorkspace::new(threads)),
         }
     }
 
@@ -176,7 +245,8 @@ impl ParallelExecutor {
     /// Execute `plan` on `x`, propagating failures instead of panicking
     /// or deadlocking: worker panics, barrier watchdog expiries, failed
     /// allocations, and non-finite output all return `Err` in bounded
-    /// time, and the executor remains usable afterwards.
+    /// time, and the executor remains usable afterwards. Concurrent
+    /// callers run one after another.
     pub fn try_execute(&self, plan: &Plan, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
         self.exec_impl(plan, x, ExecTrace::default())
     }
@@ -272,17 +342,14 @@ impl ParallelExecutor {
             }
         }
         let n = plan.n;
-        let mut buf_a: AlignedVec<Cplx> =
-            AlignedVec::try_with_alignment(n.max(1), spiral_smp::CACHE_LINE_BYTES)?;
-        let mut buf_b: AlignedVec<Cplx> =
-            AlignedVec::try_with_alignment(n.max(1), spiral_smp::CACHE_LINE_BYTES)?;
-        buf_a.copy_from(x);
-        let _ = &mut buf_b;
+        let mut ws = lock_recover(&self.ws);
+        ws.prepare(n, plan.steps.len())?;
         let shared = SharedBufs {
-            a: buf_a.as_ptr(),
-            b: buf_b.as_ptr(),
-            n,
+            x,
+            a: ws.a.as_ptr(),
+            b: ws.b.as_ptr(),
         };
+        let tmps = &ws.tmp;
         // Borrow the whole struct so the closure captures one `&SharedBufs`
         // (edition-2021 disjoint capture would otherwise grab `&*mut Cplx`,
         // which is not Sync).
@@ -302,21 +369,17 @@ impl ParallelExecutor {
         let failed = AtomicBool::new(false);
 
         let job = |tid: usize| {
-            let mut tmp: AlignedVec<Cplx> = AlignedVec::new(tmp_dim);
+            let mut tmp = tmps.slot(tid);
+            if tmp.len() < tmp_dim {
+                *tmp = AlignedVec::new(tmp_dim);
+            }
             for (si, step) in plan.steps.iter().enumerate() {
                 if failed.load(Ordering::Acquire) {
                     break;
                 }
-                // Ping-pong: even steps read A write B.
                 // Safety: see SharedBufs — disjoint writes, barrier-ordered
                 // reads.
-                let (src, dst): (&[Cplx], *mut Cplx) = unsafe {
-                    if si % 2 == 0 {
-                        (std::slice::from_raw_parts(shared.a, shared.n), shared.b)
-                    } else {
-                        (std::slice::from_raw_parts(shared.b, shared.n), shared.a)
-                    }
-                };
+                let (src, dst) = unsafe { shared.step(si) };
                 #[cfg(feature = "faults")]
                 let corrupt = match spiral_smp::faults::at(si, tid) {
                     Some(spiral_smp::faults::Fault::Panic) => {
@@ -391,20 +454,16 @@ impl ParallelExecutor {
             return Err(e);
         }
 
-        let result_in_a = plan.steps.len().is_multiple_of(2);
-        let out = if result_in_a {
-            buf_a.as_slice().to_vec()
-        } else {
-            buf_b.as_slice().to_vec()
+        let result = match plan.steps.len() {
+            0 => x,
+            k if k % 2 == 1 => &ws.b[..n],
+            _ => &ws.a[..n],
         };
         // Corruption guard: non-finite values never leave the executor.
-        if let Some(index) = first_non_finite(&out) {
-            return Err(SpiralError::NonFinite {
-                index,
-                context: format!("parallel execution of a {n}-point plan"),
-            });
-        }
-        Ok(out)
+        to_vec_if_finite(result).map_err(|index| SpiralError::NonFinite {
+            index,
+            context: format!("parallel execution of a {n}-point plan"),
+        })
     }
 
     /// Execute `plan` with graceful degradation: when the pool is
@@ -697,6 +756,44 @@ mod tests {
         assert!(matches!(err, SpiralError::Plan(_)));
         // Neither is a runtime fault: the resilient path must not retry.
         assert!(!err.is_runtime_fault());
+    }
+
+    fn bits(v: &[Cplx]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The reused workspace never leaks one run into the next: sizes
+    /// shrink and grow again, and every prefix of a plan (zero, odd and
+    /// even step counts) lands bitwise on `Plan::execute_into`.
+    #[test]
+    fn reused_workspace_matches_execute_into_bitwise() {
+        for p in [2usize, 4] {
+            let exec = ParallelExecutor::new(p, BarrierKind::Park);
+            for k in [12u32, 6, 12] {
+                let n = 1usize << k;
+                let mu = if p == 4 { 2 } else { 4 };
+                let plan =
+                    Plan::from_formula(&multicore_dft_expanded(n, p, mu, None, 8).unwrap(), p, mu)
+                        .unwrap();
+                let x = ramp(n);
+                for plan in [plan.clone(), plan.fuse_exchanges()] {
+                    for len in (0..=plan.steps.len()).rev() {
+                        let prefix = Plan {
+                            steps: plan.steps[..len].to_vec(),
+                            ..plan.clone()
+                        };
+                        let mut want = vec![Cplx::ZERO; n];
+                        prefix.execute_into(&x, &mut want, &mut Default::default());
+                        let got = exec.try_execute(&prefix, &x).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "p={p} n={n} steps={len}: differs from execute_into"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

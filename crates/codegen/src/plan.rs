@@ -16,10 +16,11 @@ use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
 use crate::stage::{LocalProgram, LocalStage, SrcView};
+use spiral_smp::error::lock_recover;
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One synchronization-delimited step of a plan.
 #[derive(Clone, Debug)]
@@ -432,6 +433,30 @@ impl PlanWorkspace {
         if self.tmp.len() < local {
             self.tmp.resize(local, Cplx::ZERO);
         }
+    }
+}
+
+/// One value per logical pool thread, kept by an executor across runs
+/// (the batch executor's [`PlanWorkspace`]s, the stage executor's chunk
+/// temporaries). Job `tid` locks only slot `tid`, so the locks are never
+/// contended; they let a shared `Fn(tid)` job borrow its own slot
+/// mutably without `unsafe`.
+pub(crate) struct PerThread<T>(Box<[Mutex<T>]>);
+
+impl<T> PerThread<T> {
+    pub(crate) fn new(threads: usize, init: impl FnMut() -> T) -> PerThread<T> {
+        PerThread(
+            std::iter::repeat_with(init)
+                .map(Mutex::new)
+                .take(threads)
+                .collect(),
+        )
+    }
+
+    /// Thread `tid`'s slot. A poisoned slot (a job panicked while
+    /// holding it) is recovered: every user overwrites what it reads.
+    pub(crate) fn slot(&self, tid: usize) -> MutexGuard<'_, T> {
+        lock_recover(&self.0[tid])
     }
 }
 

@@ -167,6 +167,53 @@ fn corrupted_output_is_caught_as_non_finite() {
     assert!(err.is_runtime_fault());
 }
 
+/// The executor's buffers outlive a failed run. The first healthy run
+/// after an injected panic, NaN or barrier timeout must still equal the
+/// sequential interpreter bitwise: nothing the failed run left in the
+/// ping-pong pair or the chunk temporaries may leak into it.
+#[test]
+fn first_healthy_run_after_a_fault_is_bitwise_correct() {
+    let slow = Fault::Delay(Duration::from_millis(250));
+    for (n, p, mu) in [(64usize, 2usize, 4usize), (256, 4, 4)] {
+        let plan = build_plan(n, p, mu);
+        let exec = ParallelExecutor::with_watchdog(p, BarrierKind::Park, Duration::from_millis(60));
+        let x = ramp(n);
+        let want = plan.execute(&x);
+        let last = plan.steps.len() - 1;
+        let mut sites: Vec<(usize, usize, Fault)> = Vec::new();
+        for stage in 0..plan.steps.len() {
+            for thread in 0..p {
+                sites.push((stage, thread, Fault::Panic));
+                sites.push((stage, thread, Fault::CorruptNan));
+            }
+        }
+        sites.push((0, 1, slow.clone()));
+        sites.push((last, p - 1, slow.clone()));
+        for (stage, thread, fault) in sites {
+            let guard = install(FaultPlan {
+                seed: 11,
+                specs: vec![FaultSpec::always(stage, thread, fault.clone())],
+            });
+            let faulted = exec.try_execute(&plan, &x);
+            drop(guard);
+            let _quiet = install(FaultPlan::default());
+            let site = format!("n={n} p={p} stage={stage} thread={thread} {fault:?}");
+            if let Ok(out) = faulted {
+                assert!(bitwise_eq(&out, &want), "{site}: faulted Ok run is wrong");
+            }
+            let got = exec.try_execute(&plan, &x).unwrap();
+            assert!(bitwise_eq(&got, &want), "{site}: stale state leaked");
+        }
+    }
+}
+
+fn bitwise_eq(a: &[Cplx], b: &[Cplx]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -7,6 +7,22 @@
 //! on all `p` logical threads (the caller participates as thread 0) and
 //! returns when every thread has finished.
 //!
+//! ## Concurrency
+//!
+//! A pool runs one job at a time. Callers on different threads may share
+//! a pool: [`Pool::try_run`] holds a run lock from publishing the job to
+//! the join, so concurrent callers queue instead of overwriting each
+//! other's job slot. A job must not call back into its own pool: that
+//! would wait on the run lock its own run holds, so it panics with "pool
+//! is not reentrant" instead.
+//!
+//! Idle workers park on a condvar and never spin: a pool often shares
+//! its cores with other pools (the serving tier runs a batch pool and a
+//! stage pool side by side), and a spinning idle worker steals the core
+//! another pool's job needs. Only the caller spins, and only briefly,
+//! while it waits for the workers to finish a job it is part of (see
+//! [`JOIN_SPIN`]).
+//!
 //! ## Failure model
 //!
 //! Every job invocation is wrapped in `catch_unwind`: a panicking job
@@ -23,6 +39,7 @@
 //! barriers) is itself deadline-bounded and stage compute is finite.
 
 use crate::error::{lock_recover, panic_payload, SpiralError};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -32,6 +49,21 @@ use std::time::{Duration, Instant};
 /// Default pool watchdog: generous, so healthy long transforms never
 /// trip it; executors layer tighter stage-level deadlines underneath.
 pub const DEFAULT_POOL_WATCHDOG: Duration = Duration::from_secs(60);
+
+/// How long the caller of [`Pool::try_run`] spins on the completion
+/// count after its own share, before it parks on the condvar. A stage
+/// job ends in a barrier, so the workers finish within nanoseconds of
+/// the caller and the spin saves the park and wake-up round trip; a job
+/// whose workers run longer falls back to parking.
+pub const JOIN_SPIN: Duration = Duration::from_micros(20);
+
+thread_local! {
+    /// Address of the [`Shared`] state of the pool whose job this thread
+    /// is running, or 0. Lets [`Pool::try_run`] refuse a call from
+    /// inside its own job, which would otherwise deadlock on the run
+    /// lock.
+    static IN_JOB: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Type-erased job pointer. Valid only while the publishing `run` call is
 /// blocked, which the completion protocol guarantees.
@@ -62,6 +94,8 @@ struct Shared {
 pub struct Pool {
     p: usize,
     shared: Arc<Shared>,
+    /// Held for a whole [`Pool::try_run`]: one job at a time.
+    run_lock: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
     watchdog: Duration,
 }
@@ -100,6 +134,7 @@ impl Pool {
         Pool {
             p,
             shared,
+            run_lock: Mutex::new(()),
             handles,
             watchdog,
         }
@@ -182,7 +217,8 @@ impl Pool {
     /// Run `f(tid)` on all `p` threads, isolating panics: a panic on any
     /// thread is caught, the run completes on the other threads, and the
     /// first recorded panic returns as [`SpiralError::WorkerPanic`]. The
-    /// pool remains usable after an `Err`.
+    /// pool remains usable after an `Err`. Concurrent callers are
+    /// serialized: each waits for the run lock, then runs its job alone.
     pub fn try_run(&self, f: &(dyn Fn(usize) + Sync)) -> Result<(), SpiralError> {
         if self.p == 1 {
             return match catch_unwind(AssertUnwindSafe(|| f(0))) {
@@ -193,11 +229,13 @@ impl Pool {
                 }),
             };
         }
+        let id = Arc::as_ptr(&self.shared) as usize;
+        assert!(IN_JOB.get() != id, "pool is not reentrant");
+        let _run = lock_recover(&self.run_lock);
         lock_recover(&self.shared.panics).clear();
         // Publish the job.
         {
             let mut slot = lock_recover(&self.shared.slot);
-            debug_assert!(slot.job.is_none(), "pool is not reentrant");
             self.shared.remaining.store(self.p - 1, Ordering::Release);
             slot.generation += 1;
             // Safety: erase the borrow's lifetime; `try_run` blocks until
@@ -210,9 +248,15 @@ impl Pool {
         // Participate as thread 0, isolating our own panic so we always
         // reach the drain loop below (returning early would dangle the
         // published job pointer under running workers).
+        let outer = IN_JOB.replace(id);
         let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
-        // Wait for the workers, under the watchdog.
+        IN_JOB.set(outer);
+        // Wait for the workers: spin briefly, then park under the
+        // watchdog.
         let start = Instant::now();
+        while self.shared.remaining.load(Ordering::Acquire) != 0 && start.elapsed() < JOIN_SPIN {
+            std::hint::spin_loop();
+        }
         let deadline = start + self.watchdog;
         let mut overrun = false;
         let mut guard = lock_recover(&self.shared.done_lock);
@@ -273,6 +317,8 @@ impl Drop for Pool {
 }
 
 fn worker_loop(tid: usize, sh: Arc<Shared>) {
+    // A worker runs only this pool's jobs.
+    IN_JOB.set(Arc::as_ptr(&sh) as usize);
     let mut seen_generation = 0u64;
     loop {
         let job = {
@@ -374,6 +420,37 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(v.load(Ordering::Relaxed), i as u64);
         }
+    }
+
+    #[test]
+    fn concurrent_callers_run_one_job_at_a_time() {
+        // At most one job's p threads are inside a job at any moment,
+        // and every job runs on all p threads exactly once.
+        let p = 3;
+        let pool = Pool::new(p);
+        let (inside, total) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        pool.run(&|_tid| {
+                            assert!(inside.fetch_add(1, Ordering::SeqCst) < p as u64);
+                            std::hint::spin_loop();
+                            total.fetch_add(1, Ordering::SeqCst);
+                            inside.fetch_sub(1, Ordering::SeqCst);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::SeqCst), 4 * 200 * p as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool is not reentrant")]
+    fn job_calling_its_own_pool_panics() {
+        let pool = Pool::new(2);
+        pool.run(&|_tid| pool.run(&|_| {}));
     }
 
     #[test]
