@@ -10,20 +10,18 @@
 
 use serde::{Deserialize, Serialize};
 use spiral_codegen::plan::Plan;
-use spiral_codegen::shard::shard_plan;
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
-use spiral_spl::builder::{dist_tag, vec_tag};
-use spiral_verify::certify::shards::certify_shards;
+use spiral_spl::builder::vec_tag;
 use spiral_verify::certify::{certify_plan, CertOptions};
 
 /// Schema version of [`CertifyReportFile`]. Bump on any shape change
 /// and regenerate the golden snapshot.
 ///
 /// * v1 — sequential/multicore/vec shapes.
-/// * v2 — adds the `dist(q)` sharded shapes (exact passes over the
-///   dist-tagged fused plan, plus the shard-boundary pass over its
-///   geometry).
-pub const CERTIFY_SCHEMA_VERSION: u32 = 2;
+/// * v2 — added the `dist(q)` sharded shapes of the multi-process tier.
+/// * v3 — that tier is gone, and so are its shapes: the sweep is v1's
+///   shape set again.
+pub const CERTIFY_SCHEMA_VERSION: u32 = 3;
 
 /// Verdict for one plan shape in the sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,12 +82,6 @@ fn push(rows: &mut Vec<CertifyRow>, plan: &Plan, shape: String, opts: &CertOptio
 /// failure, not a benchmark surprise. Tags that do not take (no stage
 /// aligns at ν) are skipped — the marking is deterministic from the
 /// formula, so the artifact stays diff-able across hosts.
-///
-/// Multicore shapes are further swept under the `dist(q)` tag at
-/// `q ∈ {2, 4}` where the fused plan's prefix shards: the exact passes
-/// run over the dist-tagged plan, and the shard-boundary pass runs
-/// over its geometry, so a corrupted shard region is a certification
-/// failure here — not a fleet surprise.
 pub fn certification_sweep(min_log2: u32, max_log2: u32, max_threads: usize) -> CertifyReportFile {
     let opts = CertOptions::default();
     let mut rows = Vec::new();
@@ -140,29 +132,6 @@ pub fn certification_sweep(min_log2: u32, max_log2: u32, max_threads: usize) -> 
                     "multicore default split, fused exchanges".to_string(),
                     &opts,
                 );
-                for q in [2usize, 4] {
-                    let tagged = dist_tag(q, f.clone());
-                    let Ok(dplan) = Plan::from_formula(&tagged, p, mu) else {
-                        continue;
-                    };
-                    let dplan = dplan.fuse_exchanges();
-                    let Ok(spec) = shard_plan(&dplan, q) else {
-                        continue;
-                    };
-                    let rep = certify_plan(&dplan, &opts);
-                    let mut findings: Vec<String> =
-                        rep.findings.iter().map(|x| x.to_string()).collect();
-                    findings.extend(certify_shards(&dplan, &spec).iter().map(|x| x.to_string()));
-                    rows.push(CertifyRow {
-                        n: rep.n,
-                        threads: rep.threads,
-                        mu: rep.mu,
-                        shape: format!("multicore default split + dist({q}), fused exchanges"),
-                        dataflow_certified: rep.dataflow_certified,
-                        symbolic_certified: rep.symbolic_certified,
-                        findings,
-                    });
-                }
                 for nu in [2usize, 4] {
                     let tagged = vec_tag(nu, f.clone());
                     let Ok(plan) = Plan::from_formula(&tagged, p, mu) else {

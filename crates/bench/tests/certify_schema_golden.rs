@@ -91,13 +91,17 @@ fn live_sweep_is_fully_certified_and_serializes() {
         file.rows.iter().any(|r| r.shape.contains("+ vec(")),
         "sweep must cover vec(ν)-tagged plan shapes"
     );
-    // Likewise the dist(q) sharded shapes: the shard-boundary pass runs
-    // inside the sweep, and 100% of sharded shapes prove out.
-    assert!(
-        file.rows.iter().any(|r| r.shape.contains("+ dist(")),
-        "sweep must cover dist(q) sharded plan shapes"
-    );
     let json = serde_json::to_string(&file).unwrap();
     let back: CertifyReportFile = serde_json::from_str(&json).unwrap();
     assert_eq!(back.total, file.total);
+}
+
+/// The default sweep (`figures certify`: n = 2^2..2^6, p ≤ 4) that
+/// produces `results/certify_report.json` covers exactly 89 plan
+/// shapes, and proves every one of them.
+#[test]
+fn default_sweep_covers_exactly_89_shapes() {
+    let file = spiral_bench::certify::certification_sweep(2, 6, 4);
+    assert_eq!(file.total, 89);
+    assert_eq!(file.certified, 89);
 }

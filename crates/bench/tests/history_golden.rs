@@ -39,7 +39,6 @@ fn representative_history() -> BenchHistory {
                     threads: 2,
                     batch: 1,
                     connections: 1,
-                    processes: 1,
                     backend: "scalar".to_string(),
                     plan_kind: "multicore split 64x64".to_string(),
                     reps: 5,
@@ -61,7 +60,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 1,
                         connections: 1,
-                        processes: 1,
                         backend: "scalar".to_string(),
                         plan_kind: "multicore split 64x64".to_string(),
                         reps: 5,
@@ -77,7 +75,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 1,
                         connections: 1,
-                        processes: 1,
                         backend: "vector".to_string(),
                         plan_kind: "multicore split 64x64 + vec(4)".to_string(),
                         reps: 5,
@@ -93,7 +90,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 32,
                         connections: 1,
-                        processes: 1,
                         backend: "scalar".to_string(),
                         plan_kind: "batched sequential 2^8".to_string(),
                         reps: 5,
@@ -109,7 +105,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 8,
                         connections: 8,
-                        processes: 1,
                         backend: "vector".to_string(),
                         plan_kind: "served sequential 2^8".to_string(),
                         reps: 64,
@@ -119,22 +114,6 @@ fn representative_history() -> BenchHistory {
                         p999_us: 520.0,
                         gflops: 0.03,
                         gflops_mad: 0.002,
-                    },
-                    BenchEntry {
-                        log2n: 12,
-                        threads: 2,
-                        batch: 1,
-                        connections: 1,
-                        processes: 2,
-                        backend: "vector".to_string(),
-                        plan_kind: "multicore split 64x64 + vec(4) + dist(2)".to_string(),
-                        reps: 5,
-                        median_us: 140.0,
-                        mad_us: 3.5,
-                        p99_us: 150.0,
-                        p999_us: 161.0,
-                        gflops: 1.51,
-                        gflops_mad: 0.04,
                     },
                 ],
             },

@@ -85,7 +85,7 @@ pub fn lower_seq(f: &Spl) -> Result<LocalProgram, LowerError> {
         Spl::DirectSum(fs) | Spl::DirectSumPar(fs) => lower_direct_sum(fs),
         // Tags are semantically transparent to sequential lowering; the
         // vec(ν) hint is honored later by the post-fusion `vectorize` pass.
-        Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => lower_seq(a),
+        Spl::Smp { a, .. } | Spl::Vec { a, .. } => lower_seq(a),
     }
 }
 

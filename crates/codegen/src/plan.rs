@@ -114,11 +114,6 @@ pub struct Plan {
     /// were marked for (1 = scalar; set from the formula's `vec(ν)` tag
     /// when at least one stage passed the alignment preconditions).
     pub vec_width: usize,
-    /// Process count q of the multi-process backend the plan was tagged
-    /// for (1 = single process; set from the formula's `dist(q)` tag).
-    /// Recorded intent only — the actual shard geometry is computed from
-    /// the fused steps by [`crate::shard::shard_plan`].
-    pub dist_procs: usize,
     /// The synchronization-delimited steps, in execution order.
     pub steps: Vec<Step>,
 }
@@ -148,7 +143,6 @@ impl Plan {
             threads: threads.max(1),
             mu: mu.max(1),
             vec_width: 1,
-            dist_procs: f.dist_procs(),
             steps,
         };
         // Honor the widest vec(ν) tag after fusion settled the final loop
@@ -282,18 +276,6 @@ impl Plan {
         }
     }
 
-    /// Run `steps[start..]` with the current intermediate values already
-    /// staged in the workspace ping-pong buffer ([`PlanWorkspace::
-    /// stage_buffer`]), writing the final result to `out`. The dist
-    /// backend uses this to finish a plan whose sharded prefix ran out of
-    /// process.
-    pub fn execute_tail_into(&self, start: usize, out: &mut [Cplx], ws: &mut PlanWorkspace) {
-        assert_eq!(out.len(), self.n, "output length mismatch");
-        assert!(start <= self.steps.len(), "tail start out of range");
-        ws.prepare(self, 2);
-        self.finish(&self.steps[start..], out, ws);
-    }
-
     /// Run `steps` on the value in `ws.a`, ping-ponging through `ws.b`,
     /// with the last step writing `out`.
     fn finish(&self, steps: &[Step], out: &mut [Cplx], ws: &mut PlanWorkspace) {
@@ -412,15 +394,6 @@ pub struct PlanWorkspace {
 }
 
 impl PlanWorkspace {
-    /// Prepare for `plan` and expose the ping-pong input buffer. Callers
-    /// that produce a mid-plan state out of band (the dist backend's
-    /// shard gather) write the intermediate vector here, then finish
-    /// with [`Plan::execute_tail_into`].
-    pub fn stage_buffer(&mut self, plan: &Plan) -> &mut [Cplx] {
-        self.prepare(plan, 2);
-        &mut self.a[..plan.n]
-    }
-
     /// Grow the first `bufs` ping-pong buffers and the chunk temporary to
     /// fit `plan` (never shrinks).
     fn prepare(&mut self, plan: &Plan, bufs: usize) {
@@ -672,7 +645,7 @@ fn push_steps(f: &Spl, steps: &mut Vec<Step>) -> Result<(), LowerError> {
             steps.push(Step::ScaleAll(Arc::new(d.entries())));
             Ok(())
         }
-        Spl::Vec { a, .. } | Spl::Dist { a, .. } => push_steps(a, steps),
+        Spl::Vec { a, .. } => push_steps(a, steps),
         other => {
             let prog = fuse(lower_seq(other)?);
             if !prog.stages.is_empty() {

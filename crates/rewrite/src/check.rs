@@ -64,7 +64,7 @@ pub fn check_fully_optimized(f: &Spl, p: usize, mu: usize) -> Result<(), Violati
         Spl::Smp { .. } => Err(Violation::TagRemains(f.to_string())),
         // vec(ν) is a backend hint, not an unfinished-rewriting tag: it is
         // transparent to the shared-memory structure underneath.
-        Spl::Vec { a, .. } | Spl::Dist { a, .. } => check_fully_optimized(a, p, mu),
+        Spl::Vec { a, .. } => check_fully_optimized(a, p, mu),
         Spl::Compose(fs) => fs.iter().try_for_each(|x| check_fully_optimized(x, p, mu)),
         // Definition 1 (5): I_m ⊗ A with A fully optimized.
         Spl::Tensor(l, r) if matches!(**l, Spl::I(_)) => check_fully_optimized(r, p, mu),
@@ -146,7 +146,7 @@ pub fn flops(f: &Spl) -> f64 {
         Spl::Tensor(a, b) => a.dim() as f64 * flops(b) + b.dim() as f64 * flops(a),
         Spl::DirectSum(fs) | Spl::DirectSumPar(fs) => fs.iter().map(flops).sum(),
         Spl::TensorPar { p, a } => *p as f64 * flops(a),
-        Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => flops(a),
+        Spl::Smp { a, .. } | Spl::Vec { a, .. } => flops(a),
     }
 }
 
@@ -186,7 +186,7 @@ fn accumulate(f: &Spl, p: usize, mult: f64, acc: &mut [f64]) {
             accumulate(r, p, mult * m, acc);
         }
         Spl::I(_) | Spl::Perm(_) | Spl::PermBar { .. } => {}
-        Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => {
+        Spl::Smp { a, .. } | Spl::Vec { a, .. } => {
             accumulate(a, p, mult, acc);
         }
         other => acc[0] += mult * flops(other),

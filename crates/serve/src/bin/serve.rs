@@ -18,13 +18,13 @@
 //! zero values for `--threads`/`--batch`/`--requests` (and the other
 //! counts) exit 2 with the usage string.
 
-use spiral_serve::{DistPolicy, LoadSpec, PlanService, Server, ServerConfig};
+use spiral_serve::{LoadSpec, PlanService, Server, ServerConfig};
 use spiral_smp::topology::{self, HostFingerprint};
 use spiral_spl::cplx::Cplx;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: serve [bench] [--threads P] [--mu M] [--sizes N1,N2,...] [--batch B] \
-[--requests R] [--wisdom PATH] [--assert-no-tuning] [--seed S] [--dist-budget Q] [--dist-min-n N]
+[--requests R] [--wisdom PATH] [--assert-no-tuning] [--seed S]
        serve listen [--addr HOST:PORT] [--workers W] [--threads P] [--mu M] [--wisdom PATH] \
 [--deadline-ms D] [--queue-bound Q] [--conn-backlog C] [--duration-s T] [--flight-record PATH]
        serve load [--addr HOST:PORT] [--connections C] [--requests R] [--n N] [--batch B] \
@@ -116,8 +116,6 @@ struct BenchOpts {
     wisdom: Option<String>,
     assert_no_tuning: bool,
     seed: u64,
-    dist_budget: usize,
-    dist_min_n: usize,
 }
 
 fn run_bench(args: &mut Args) {
@@ -130,8 +128,6 @@ fn run_bench(args: &mut Args) {
         wisdom: None,
         assert_no_tuning: false,
         seed: 1,
-        dist_budget: 1,
-        dist_min_n: 1024,
     };
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
@@ -157,8 +153,6 @@ fn run_bench(args: &mut Args) {
             "--wisdom" => opts.wisdom = Some(args.value("--wisdom")),
             "--assert-no-tuning" => opts.assert_no_tuning = true,
             "--seed" => opts.seed = args.number("--seed"),
-            "--dist-budget" => opts.dist_budget = args.positive("--dist-budget"),
-            "--dist-min-n" => opts.dist_min_n = args.positive("--dist-min-n"),
             "--help" | "-h" => usage_exit(""),
             other => usage_exit(&format!("unknown argument '{other}'")),
         }
@@ -212,16 +206,7 @@ fn open_service(threads: usize, mu: usize, wisdom: Option<&str>) -> PlanService 
 
 fn bench(opts: &BenchOpts) {
     println!("host: {}", HostFingerprint::current());
-    let mut service = open_service(opts.threads, opts.mu, opts.wisdom.as_deref());
-    // A budget of 1 leaves the service fleet-free (the default); >= 2
-    // routes sizes clearing the floor to the worker-process fleet,
-    // falling back in-process when no worker binary ships next to us.
-    if opts.dist_budget >= 2 {
-        service = service.with_dist(DistPolicy {
-            budget: opts.dist_budget,
-            min_n: opts.dist_min_n,
-        });
-    }
+    let service = open_service(opts.threads, opts.mu, opts.wisdom.as_deref());
 
     // Warm phase: plan every size once (tunes on a cold service, loads
     // from wisdom on a warm one). Timed separately from serving.
@@ -246,21 +231,10 @@ fn bench(opts: &BenchOpts) {
             .expect("residue below sizes length");
         let n = opts.sizes[(r + seed_off) % opts.sizes.len()];
         let inputs = batch_inputs(&mut rng, opts.batch, n);
-        if opts.dist_budget >= 2 && n >= opts.dist_min_n {
-            // Large transforms go through the single-transform path,
-            // where the service may route them to the fleet.
-            for (k, x) in inputs.iter().enumerate() {
-                service.serve_one(n, x).unwrap_or_else(|e| {
-                    panic!("request {r}.{k} (DFT_{n} via dist path) failed: {e}")
-                });
-                transforms += 1;
-            }
-        } else {
-            let out = service
-                .serve_batch(n, &inputs)
-                .unwrap_or_else(|e| panic!("request {r} (DFT_{n} x{}) failed: {e}", opts.batch));
-            transforms += out.len();
-        }
+        let out = service
+            .serve_batch(n, &inputs)
+            .unwrap_or_else(|e| panic!("request {r} (DFT_{n} x{}) failed: {e}", opts.batch));
+        transforms += out.len();
     }
     let serve_secs = t_serve.elapsed().as_secs_f64();
 
@@ -283,27 +257,6 @@ fn bench(opts: &BenchOpts) {
         service.tuner_invocations(),
         service.wisdom_save_failures(),
     );
-    if opts.dist_budget >= 2 {
-        println!(
-            "dist: {} fleet-served, {} fallbacks, fleet {}",
-            service.dist_served(),
-            service.dist_fallbacks(),
-            if service.dist_active() {
-                "live"
-            } else {
-                "down"
-            },
-        );
-        if let Some(report) = service.shutdown_fleet() {
-            println!(
-                "dist shutdown: {} clean exits, {} killed, accounting exact: {}",
-                report.clean_exits,
-                report.killed,
-                report.accounting.is_exact(),
-            );
-        }
-    }
-
     if let Err(e) = service.save_wisdom() {
         eprintln!("warning: wisdom save failed: {e}");
     }

@@ -23,7 +23,6 @@
 use crate::wisdom::{LoadReport, WisdomEntry, WisdomStore};
 use spiral_codegen::plan::Plan;
 use spiral_codegen::{BatchExecutor, ParallelExecutor};
-use spiral_dist::{DistConfig, DistError, DistExecutor, DistShutdownReport};
 use spiral_search::{CostModel, Tuner};
 use spiral_smp::error::SpiralError;
 use spiral_spl::cplx::Cplx;
@@ -47,8 +46,7 @@ pub enum PlanSource {
 pub struct ServedPlan {
     /// The compiled plan.
     pub plan: Arc<Plan>,
-    /// ASCII SPL of the winning formula (round-trips through `parse`);
-    /// the dist router re-tags this to build the fleet's plan.
+    /// ASCII SPL of the winning formula (round-trips through `parse`).
     pub formula: String,
     /// The tuner's choice description.
     pub choice: String,
@@ -56,26 +54,6 @@ pub struct ServedPlan {
     pub cost: f64,
     /// Whether it came from wisdom or a fresh tuner run.
     pub source: PlanSource,
-}
-
-/// When and how the service routes transforms to a worker-process
-/// fleet. The default service has no policy and never spawns a process.
-#[derive(Clone, Copy, Debug)]
-pub struct DistPolicy {
-    /// Host process budget: the largest fleet the service may spawn.
-    /// Routing is enabled only when this is ≥ 2.
-    pub budget: usize,
-    /// Smallest transform worth a fleet; requests below it always run
-    /// in-process.
-    pub min_n: usize,
-}
-
-/// One cached fleet, bound to the current hot size. `exec: None`
-/// records a failed construction attempt for that size so a missing
-/// worker binary or unshardable formula is paid once, not per request.
-struct FleetSlot {
-    n: usize,
-    exec: Option<DistExecutor>,
 }
 
 /// Single-flight slot: the leader publishes its result here and wakes
@@ -98,14 +76,10 @@ pub struct PlanService {
     wisdom: Option<Mutex<WisdomStore>>,
     batch: BatchExecutor,
     stage_exec: ParallelExecutor,
-    dist: Option<DistPolicy>,
-    fleet: Mutex<Option<FleetSlot>>,
     tuner_invocations: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     wisdom_save_failures: AtomicU64,
-    dist_served: AtomicU64,
-    dist_fallbacks: AtomicU64,
 }
 
 /// Shard count: small power of two, plenty for read-mostly traffic.
@@ -139,25 +113,11 @@ impl PlanService {
             wisdom: wisdom.map(Mutex::new),
             batch: BatchExecutor::new(threads),
             stage_exec: ParallelExecutor::with_auto_barrier(threads),
-            dist: None,
-            fleet: Mutex::new(None),
             tuner_invocations: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             wisdom_save_failures: AtomicU64::new(0),
-            dist_served: AtomicU64::new(0),
-            dist_fallbacks: AtomicU64::new(0),
         }
-    }
-
-    /// Enable fleet routing under `policy` (consuming builder). A
-    /// budget below 2 leaves the policy inert; the routing itself is
-    /// best-effort — any failure to build or run the fleet falls back
-    /// to in-process execution and counts in
-    /// [`dist_fallbacks`](Self::dist_fallbacks).
-    pub fn with_dist(mut self, policy: DistPolicy) -> PlanService {
-        self.dist = Some(policy);
-        self
     }
 
     /// Worker thread count.
@@ -191,34 +151,6 @@ impl PlanService {
         self.wisdom_save_failures.load(Ordering::Relaxed)
     }
 
-    /// Requests answered by the worker-process fleet.
-    pub fn dist_served(&self) -> u64 {
-        self.dist_served.load(Ordering::Relaxed)
-    }
-
-    /// Fleet-eligible requests that fell back to in-process execution
-    /// (missing worker binary, unshardable formula, fleet failure).
-    pub fn dist_fallbacks(&self) -> u64 {
-        self.dist_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Whether a live fleet is currently attached to the service.
-    pub fn dist_active(&self) -> bool {
-        self.fleet
-            .lock()
-            .unwrap()
-            .as_ref()
-            .is_some_and(|s| s.exec.is_some())
-    }
-
-    /// Tear down the fleet (if any) now, reaping every worker, and
-    /// return the shutdown report with its exact shard accounting.
-    /// Serving continues in-process; the next eligible request respawns.
-    pub fn shutdown_fleet(&self) -> Option<DistShutdownReport> {
-        let slot = self.fleet.lock().unwrap().take()?;
-        slot.exec.map(DistExecutor::shutdown)
-    }
-
     /// Number of distinct plans currently cached.
     pub fn cached_plans(&self) -> usize {
         self.shards.iter().map(|s| s.read().unwrap().len()).sum()
@@ -246,14 +178,8 @@ impl PlanService {
     }
 
     /// Execute one size-`n` transform with the service-threads plan.
-    /// When a [`DistPolicy`] is attached and `n` clears its floor, the
-    /// request is routed to the worker-process fleet first; in-process
-    /// execution is the fallback for everything the fleet cannot serve.
     pub fn serve_one(&self, n: usize, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
         let served = self.plan(n)?;
-        if let Some(out) = self.try_serve_dist(n, &served, x) {
-            return Ok(out);
-        }
         if served.plan.threads > 1 {
             self.stage_exec.try_execute(&served.plan, x)
         } else {
@@ -366,7 +292,6 @@ impl PlanService {
                     choice: tuned.choice.clone(),
                     cost: tuned.cost,
                     vec_width: plan.vec_width.max(1) as u64,
-                    dist_procs: plan.dist_procs.max(1) as u64,
                 },
                 plan.clone(),
             );
@@ -381,78 +306,6 @@ impl PlanService {
             cost: tuned.cost,
             source: PlanSource::Tuned,
         }))
-    }
-
-    /// Fleet routing gate: `Some(out)` when the fleet served the
-    /// request, `None` (counted as a fallback when the request was
-    /// eligible) to let the caller run in-process.
-    fn try_serve_dist(&self, n: usize, served: &ServedPlan, x: &[Cplx]) -> Option<Vec<Cplx>> {
-        let policy = self.dist?;
-        if policy.budget < 2 || n < policy.min_n {
-            return None;
-        }
-        match self.dist_execute(n, served, policy, x) {
-            Some(out) => {
-                self.dist_served.fetch_add(1, Ordering::Relaxed);
-                Some(out)
-            }
-            None => {
-                self.dist_fallbacks.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn dist_execute(
-        &self,
-        n: usize,
-        served: &ServedPlan,
-        policy: DistPolicy,
-        x: &[Cplx],
-    ) -> Option<Vec<Cplx>> {
-        let mut slot = self.fleet.lock().unwrap();
-        if slot.as_ref().is_none_or(|s| s.n != n) {
-            // The hot size moved: the old fleet (if any) tears itself
-            // down on drop, and the construction outcome — including
-            // failure — is cached for the new size.
-            *slot = Some(FleetSlot {
-                n,
-                exec: self.build_fleet(served, policy),
-            });
-        }
-        let sl = slot.as_mut().expect("slot populated above");
-        let fleet = sl.exec.as_mut()?;
-        let mut out = vec![Cplx::ZERO; n];
-        match fleet.execute_into(x, &mut out) {
-            Ok(()) => Some(out),
-            Err(_) => {
-                // Catastrophic fleet failure (per-worker deaths are
-                // rescued inside execute_into and do NOT land here):
-                // tear down and remember not to respawn for this size.
-                sl.exec = None;
-                None
-            }
-        }
-    }
-
-    /// Build the largest fleet the policy admits for this plan's
-    /// formula. Worker-binary and spawn-level failures abort (smaller
-    /// fleets would hit them too); shard-geometry failures retry the
-    /// next smaller `q`.
-    fn build_fleet(&self, served: &ServedPlan, policy: DistPolicy) -> Option<DistExecutor> {
-        let base = spiral_spl::parse(&served.formula).ok()?;
-        for q in [4usize, 2] {
-            if q > policy.budget {
-                continue;
-            }
-            let tagged = spiral_spl::builder::dist_tag(q, base.clone());
-            match DistExecutor::new(&tagged, self.threads, self.mu, q, DistConfig::default()) {
-                Ok(exec) => return Some(exec),
-                Err(DistError::Shard(_) | DistError::Lower(_)) => continue,
-                Err(_) => return None,
-            }
-        }
-        None
     }
 }
 

@@ -51,7 +51,7 @@ pub mod overload;
 pub mod wire;
 pub mod wisdom;
 
-pub use cache::{DistPolicy, PlanService, PlanSource, ServedPlan};
+pub use cache::{PlanService, PlanSource, ServedPlan};
 pub use client::{drive, percentile_us, request_from_inputs, Client, LoadOutcome, LoadSpec};
 pub use metrics::{GaugeReadings, ServeMetrics};
 pub use net::{DrainReport, Server, ServerConfig};

@@ -36,14 +36,13 @@ use std::sync::Arc;
 /// winning plan was tuned with, and loading rejects entries wider than
 /// the host's detected SIMD width.
 ///
-/// v3: entries record the worker-process count (`dist_procs`) of a
-/// `dist(q)`-tagged winner (1 = single-process), the formula's ASCII
-/// round-trips the `dist(q, ·)` tag, and the host fingerprint carries
-/// its process budget — so wisdom tuned under one budget is re-keyed
-/// (discarded wholesale) when the budget changes, and an individual
-/// entry demanding more processes than this host's budget is rejected
-/// as stale even in a hand-merged file.
-pub const WISDOM_SCHEMA_VERSION: u64 = 3;
+/// v3: entries recorded the worker-process count of a multi-process
+/// winner. That tier is gone.
+///
+/// v4: entries no longer carry a process count, and a formula with the
+/// retired `dist(q)` tag no longer parses, so such an entry is rejected
+/// on load with the parser's reason.
+pub const WISDOM_SCHEMA_VERSION: u64 = 4;
 
 /// One persisted tuning result.
 ///
@@ -71,10 +70,6 @@ pub struct WisdomEntry {
     /// 1 = scalar backend. Entries wider than the loading host's
     /// detected SIMD width are stale and rejected on load.
     pub vec_width: u64,
-    /// Worker-process count of a `dist(q)`-tagged winner; 1 = the plan
-    /// runs in a single process. Entries demanding more processes than
-    /// the loading host's budget are stale and rejected on load.
-    pub dist_procs: u64,
 }
 
 /// The on-disk wisdom file: schema version, host identity, entries.
@@ -206,18 +201,6 @@ impl WisdomStore {
                     reason: format!(
                         "stale host: entry tuned with vec({}) exceeds this host's SIMD width {}",
                         entry.vec_width, store.host.simd_width
-                    ),
-                });
-                continue;
-            }
-            if entry.dist_procs.max(1) > store.host.process_budget.max(1) {
-                report.rejected.push(RejectedEntry {
-                    n: entry.n,
-                    threads: entry.threads,
-                    mu: entry.mu,
-                    reason: format!(
-                        "stale host: entry tuned as dist({}) exceeds this host's process budget {}",
-                        entry.dist_procs, store.host.process_budget
                     ),
                 });
                 continue;
@@ -389,12 +372,6 @@ pub fn compile_entry(entry: &WisdomEntry) -> Result<CompiledEntry, String> {
         return Err(format!(
             "recorded vec_width {} disagrees with the recompiled plan's vec({})",
             entry.vec_width, plan.vec_width
-        ));
-    }
-    if entry.dist_procs.max(1) != plan.dist_procs.max(1) as u64 {
-        return Err(format!(
-            "recorded dist_procs {} disagrees with the recompiled plan's dist({})",
-            entry.dist_procs, plan.dist_procs
         ));
     }
     let report = verify_plan(&plan, &VerifyOptions::default());

@@ -13,19 +13,15 @@
 //! * [`simhook`] — per-core clocks, coherence directory, and — central to
 //!   the paper — **false-sharing detection**: line transfers caused by
 //!   different-element accesses;
-//! * [`report`] — one-call plan simulation with pseudo-Mflop/s output;
-//! * [`dist`] — inter-process exchange cost model pricing the `dist(q)`
-//!   multi-process tier's scatter/gather and control-plane overhead.
+//! * [`report`] — one-call plan simulation with pseudo-Mflop/s output.
 
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod dist;
 pub mod machine;
 pub mod report;
 pub mod simhook;
 
-pub use dist::{estimate_dist, DistEstimate, ExchangeCosts};
 pub use machine::{by_name, core_duo, opteron, paper_machines, pentium_d, xeon_mp, MachineSpec};
 pub use report::{simulate_plan, SimReport};
 pub use simhook::{SimStats, SmpSim};

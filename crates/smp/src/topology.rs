@@ -29,11 +29,10 @@ pub struct HostFingerprint {
     /// wide; consumers (wisdom, bench history) compare against their own
     /// host's width.
     pub simd_width: u64,
-    /// Worker-process budget of the host ([`process_budget`]): how many
-    /// `dist(q)` worker processes the multi-process tier may usefully
-    /// run. Part of the identity on purpose — wisdom tuned under one
-    /// budget must be re-keyed (discarded and re-tuned) when the budget
-    /// changes, because the tuner's `dist(q)` verdicts depend on it.
+    /// Always equal to `cores` ([`processors`]), so it adds nothing to
+    /// the host identity. Kept only because the benchmark's host record
+    /// (`perfbench/`) reads this field; removing it is a separate,
+    /// benchmark-only change.
     pub process_budget: u64,
     /// Optional instrumentation features compiled into the build
     /// (`"trace"`, `"faults"`) plus the detected `"simdN"` token, in
@@ -58,9 +57,8 @@ impl serde::Deserialize for HostFingerprint {
                 None | Some(serde::Value::Null) => 1,
                 Some(_) => field(v, "simd_width")?,
             },
-            // Absent budget defaults to 1: no multi-process claim. A
-            // current host with a larger budget then mismatches, which
-            // is the staleness re-key the dist tier wants.
+            // Absent budget defaults to 1, as it did when the field was
+            // added, so older artifacts keep loading.
             process_budget: match v.get("process_budget") {
                 None | Some(serde::Value::Null) => 1,
                 Some(_) => field(v, "process_budget")?,
@@ -81,7 +79,7 @@ impl HostFingerprint {
                 mu: mu() as u64,
                 cache_line_bytes: cache_line_bytes() as u64,
                 simd_width: simd_width() as u64,
-                process_budget: process_budget() as u64,
+                process_budget: processors() as u64,
                 features: enabled_features(),
             })
             .clone()
@@ -165,23 +163,6 @@ pub fn simd_width() -> usize {
     {
         1
     }
-}
-
-/// Worker-process budget: how many `dist(q)` worker processes the
-/// multi-process execution tier may usefully run on this host. A shard
-/// fleet wider than the hardware thread count can only add exchange
-/// cost, never compute, so the budget is exactly [`processors`].
-/// `SPIRAL_PROCESS_BUDGET` overrides it (clamped to ≥ 1) for operators
-/// who reserve cores for other tenants — the fingerprint records the
-/// effective value, so wisdom tuned under one budget is re-keyed when
-/// the budget changes.
-pub fn process_budget() -> usize {
-    if let Ok(s) = std::env::var("SPIRAL_PROCESS_BUDGET") {
-        if let Ok(v) = s.trim().parse::<usize>() {
-            return v.max(1);
-        }
-    }
-    processors()
 }
 
 /// Names of the optional instrumentation features compiled into this
@@ -269,22 +250,15 @@ mod tests {
             fp.simd_width, 1,
             "absent width defaults to the scalar claim"
         );
-        assert_eq!(
-            fp.process_budget, 1,
-            "absent budget defaults to the single-process claim"
-        );
+        assert_eq!(fp.process_budget, 1, "absent budget defaults to 1");
         assert!(fp.compact().ends_with("-v1-q1"));
     }
 
     #[test]
     fn process_budget_is_detected_and_recorded() {
-        let q = process_budget();
-        assert!(q >= 1);
-        // Without the env override the budget is exactly the hardware
-        // thread count — a wider fleet only adds exchange cost.
-        if std::env::var("SPIRAL_PROCESS_BUDGET").is_err() {
-            assert_eq!(q, processors());
-        }
-        assert_eq!(HostFingerprint::current().process_budget, q as u64);
+        assert_eq!(
+            HostFingerprint::current().process_budget,
+            processors() as u64
+        );
     }
 }

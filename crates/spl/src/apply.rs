@@ -75,7 +75,7 @@ impl Spl {
                     y[r * mu..(r + 1) * mu].copy_from_slice(&x[s * mu..(s + 1) * mu]);
                 }
             }
-            Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => a.apply(x, y),
+            Spl::Smp { a, .. } | Spl::Vec { a, .. } => a.apply(x, y),
         }
     }
 }

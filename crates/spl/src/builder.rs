@@ -96,11 +96,6 @@ pub fn vec_tag(nu: usize, a: Spl) -> Spl {
     Spl::Vec { nu, a: Box::new(a) }
 }
 
-/// Multi-process sharding tag `dist(q)`.
-pub fn dist_tag(q: usize, a: Spl) -> Spl {
-    Spl::Dist { q, a: Box::new(a) }
-}
-
 /// The Cooley–Tukey right-hand side of rule (1):
 /// `(DFT_m ⊗ I_n) · T^{mn}_n · (I_m ⊗ DFT_n) · L^{mn}_m`.
 pub fn cooley_tukey(m: usize, n: usize) -> Spl {

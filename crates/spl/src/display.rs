@@ -66,7 +66,6 @@ impl fmt::Display for Spl {
             Spl::PermBar { perm, mu } => write!(f, "({perm} @bar I_{mu})"),
             Spl::Smp { p, mu, a } => write!(f, "smp({p},{mu})[{a}]"),
             Spl::Vec { nu, a } => write!(f, "vec({nu})[{a}]"),
-            Spl::Dist { q, a } => write!(f, "dist({q})[{a}]"),
         }
     }
 }
@@ -111,7 +110,6 @@ impl Spl {
             Spl::PermBar { perm, mu } => format!("({perm} ⊗̄ I{})", sub(*mu)),
             Spl::Smp { p, mu, a } => format!("⟨{}⟩smp({p},{mu})", a.pretty()),
             Spl::Vec { nu, a } => format!("⟨{}⟩vec(ν={nu})", a.pretty()),
-            Spl::Dist { q, a } => format!("⟨{}⟩dist(q={q})", a.pretty()),
         }
     }
 }

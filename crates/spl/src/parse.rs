@@ -301,15 +301,6 @@ impl<'a> Parser<'a> {
                 self.expect(b']')?;
                 Ok(builder::vec_tag(nu, e))
             }
-            "dist" => {
-                self.expect(b'(')?;
-                let q = self.num()?;
-                self.expect(b')')?;
-                self.expect(b'[')?;
-                let e = self.expr()?;
-                self.expect(b']')?;
-                Ok(builder::dist_tag(q, e))
-            }
             "diag" => {
                 self.expect(b'(')?;
                 let mut entries = Vec::new();
@@ -424,6 +415,9 @@ mod tests {
         assert!(parse("DFT_2 @bar I_4").is_err()); // @bar needs perm left
         assert!(parse("L^4_2 @bar DFT_4").is_err()); // @bar needs I right
         assert!(parse("bogus_3").is_err());
+        // The retired multi-process tag is an unknown atom now.
+        let err = parse("dist(2)[DFT_2 @ I_2]").unwrap_err();
+        assert!(err.to_string().contains("unknown atom 'dist'"), "{err}");
     }
 
     #[test]
