@@ -509,79 +509,6 @@ pub fn trace_overhead_ablation(
     rows
 }
 
-/// One row of the timeline-overhead ablation (ABL-TIMELINE).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TimelineOverheadRow {
-    /// Transform size as log2 n.
-    pub log2n: u32,
-    /// Wall-clock µs per transform through the plain fallible path
-    /// (`try_execute`) — min over reps.
-    pub plain_us: f64,
-    /// Wall-clock µs per transform with full event-timeline recording
-    /// (`try_execute_observed` into a `spiral_trace::Timeline`) when
-    /// built with `trace`; a second plain pass otherwise.
-    pub observed_us: f64,
-    /// `100 · (observed - plain) / plain`.
-    pub overhead_pct: f64,
-    /// Whether the observed column really streamed timeline events
-    /// (`false` = built without the `trace` feature).
-    pub observed_available: bool,
-}
-
-/// Measure what event-timeline recording costs when it is ON: tuned
-/// plan, plain `try_execute` vs `try_execute_observed` streaming every
-/// pool-job/compute/barrier span into a lock-free `Timeline` ring,
-/// min-of-reps. The per-event cost is two `Instant::now()` calls and
-/// three relaxed atomic stores, so the overhead should stay within the
-/// noise floor (≲1%) from `n = 2^14` up. Built without `trace`, the
-/// second pass is plain again and the delta shows that noise floor.
-pub fn timeline_overhead_ablation(
-    threads: usize,
-    min_log2: u32,
-    max_log2: u32,
-    reps: usize,
-) -> Vec<TimelineOverheadRow> {
-    use spiral_codegen::ParallelExecutor;
-    use spiral_smp::barrier::BarrierKind;
-
-    let reps = reps.max(1);
-    let exec = ParallelExecutor::new(threads, BarrierKind::Park);
-    let mut rows = Vec::new();
-    for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let time_plain = || {
-            min_time_us(reps, || {
-                std::hint::black_box(
-                    exec.try_execute(&case.plan, &case.x)
-                        .expect("healthy plan must execute"),
-                );
-            })
-        };
-        let plain_us = time_plain();
-        #[cfg(feature = "trace")]
-        let observed_us = {
-            // One ring set for all reps: the bounded ring wraps, so
-            // steady-state cost is what a long-running service would see.
-            let timeline = spiral_trace::Timeline::new(threads);
-            min_time_us(reps, || {
-                std::hint::black_box(
-                    exec.try_execute_observed(&case.plan, &case.x, &timeline)
-                        .expect("healthy plan must execute"),
-                );
-            })
-        };
-        #[cfg(not(feature = "trace"))]
-        let observed_us = time_plain();
-        rows.push(TimelineOverheadRow {
-            log2n: case.log2n,
-            plain_us,
-            observed_us,
-            overhead_pct: 100.0 * (observed_us - plain_us) / plain_us,
-            observed_available: cfg!(feature = "trace"),
-        });
-    }
-    rows
-}
-
 /// One row of the search comparison (SEARCH-DP).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SearchRow {
@@ -736,18 +663,6 @@ mod tests {
             assert!(r.traced_us > 0.0 && r.traced_us.is_finite(), "{r:?}");
             assert!(r.overhead_pct.is_finite(), "{r:?}");
             assert_eq!(r.traced_available, cfg!(feature = "trace"), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn timeline_overhead_rows_complete() {
-        let rows = timeline_overhead_ablation(2, 8, 9, 2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.plain_us > 0.0 && r.plain_us.is_finite(), "{r:?}");
-            assert!(r.observed_us > 0.0 && r.observed_us.is_finite(), "{r:?}");
-            assert!(r.overhead_pct.is_finite(), "{r:?}");
-            assert_eq!(r.observed_available, cfg!(feature = "trace"), "{r:?}");
         }
     }
 

@@ -11,7 +11,6 @@
 //! figures ablation-merge [--machine core-duo]
 //! figures ablation-fault [--min 8] [--max 14] [--out results/]
 //! figures ablation-trace [--min 8] [--max 14] [--out results/]
-//! figures ablation-timeline [--min 8] [--max 14] [--out results/]
 //! figures ablation-simd [--min 8] [--max 12] [--threads 1] [--reps 5] [--out results/]
 //! figures trace [--size 12] [--threads 2] [--out results/]      (needs --features trace)
 //! figures timeline [--size 12] [--threads 2] [--out results/]   (needs --features trace)
@@ -33,8 +32,7 @@
 
 use spiral_bench::ablations::{
     false_sharing_ablation, fault_overhead_ablation, merge_ablation, schedule_ablation,
-    search_comparison, sixstep_ablation, timeline_overhead_ablation, trace_overhead_ablation,
-    verification_ablation,
+    search_comparison, sixstep_ablation, trace_overhead_ablation, verification_ablation,
 };
 use spiral_bench::ascii;
 use spiral_bench::series::{crossover, fig3_series, tune_spiral, Series};
@@ -93,11 +91,6 @@ const COMMANDS: &[CmdSpec] = &[
     CmdSpec {
         name: "ablation-trace",
         desc: "ABL-TRACE — per-stage profiling overhead when ON (host)",
-        flags: &["min", "max", "threads", "reps", "out"],
-    },
-    CmdSpec {
-        name: "ablation-timeline",
-        desc: "ABL-TIMELINE — event-timeline recording overhead when ON (host)",
         flags: &["min", "max", "threads", "reps", "out"],
     },
     CmdSpec {
@@ -229,7 +222,6 @@ fn main() {
         }
         "ablation-fault" => run_abl_fault(&opts, out_dir.as_deref()),
         "ablation-trace" => run_abl_trace(&opts, out_dir.as_deref()),
-        "ablation-timeline" => run_abl_timeline(&opts, out_dir.as_deref()),
         "ablation-simd" => run_abl_simd(&opts, out_dir.as_deref()),
         "trace" => run_trace(&opts, out_dir.as_deref()),
         "timeline" => run_timeline(&opts, out_dir.as_deref()),
@@ -259,7 +251,6 @@ fn main() {
             run_abl_merge(&m, &opts);
             run_abl_fault(&opts, out_dir.as_deref());
             run_abl_trace(&opts, out_dir.as_deref());
-            run_abl_timeline(&opts, out_dir.as_deref());
             run_search(&opts);
             run_verify(&m, &opts, out_dir.as_deref());
         }
@@ -654,42 +645,6 @@ fn run_abl_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     }
 }
 
-/// ABL-TIMELINE: wall-clock cost of event-timeline recording when it is
-/// ON (`try_execute` vs `try_execute_observed` streaming into a
-/// lock-free ring). Built without the `trace` feature, the comparison
-/// degenerates to plain-vs-plain and shows the noise floor (the
-/// disabled configuration has no instrumented code at all).
-fn run_abl_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 8, 14);
-    let threads = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let reps = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let mode = if cfg!(feature = "trace") {
-        "observed vs plain"
-    } else {
-        "plain vs plain (noise floor; rebuild with --features trace)"
-    };
-    println!("\nABL-TIMELINE — event-timeline overhead, p={threads}, host ({mode})");
-    println!(
-        "{:>7} {:>12} {:>12} {:>10}",
-        "log2n", "plain µs", "observed µs", "overhead"
-    );
-    let rows = timeline_overhead_ablation(threads, min, max, reps);
-    for r in &rows {
-        println!(
-            "{:>7} {:>12.1} {:>12.1} {:>9.2}%",
-            r.log2n, r.plain_us, r.observed_us, r.overhead_pct
-        );
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/abl_timeline_overhead.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
-        println!("wrote {path}");
-    }
-}
-
 /// `figures trace`: execute the tuned plan for `--size` with per-stage
 /// instrumentation and print the waterfall table of where the run's
 /// time went. Requires the `trace` build; prints a rebuild hint
@@ -820,16 +775,17 @@ fn run_timeline(_opts: &HashMap<String, String>, _out_dir: Option<&str>) {
 /// `figures timeline`: record the tuner search (candidate spans,
 /// quarantine marks) and one observed execution (pool jobs, per-stage
 /// compute, barrier waits and releases) for `--size` into an event
-/// timeline, cross-check the timeline against the run's aggregated
-/// `RunProfile` and the static timeline checker, and export Chrome
-/// trace-event JSON loadable in Perfetto / `chrome://tracing`.
+/// timeline, print the run's `RunProfile` totals (folded from those
+/// events), check the timeline with the static timeline checker, and
+/// export Chrome trace-event JSON loadable in Perfetto /
+/// `chrome://tracing`.
 #[cfg(feature = "trace")]
 fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     use spiral_codegen::ParallelExecutor;
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
-    use spiral_trace::{Timeline, TimelineEventKind};
-    use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
+    use spiral_trace::Timeline;
+    use spiral_verify::timeline::verify_timeline;
 
     let k: u32 = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(12);
     let threads = opts
@@ -871,51 +827,17 @@ fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         outcome.report.quarantined.len()
     );
 
-    // Cross-check the streamed spans against the independently
-    // aggregated RunProfile of the same run: the two instruments must
-    // tell the same story (within clock-read jitter).
-    let tl_compute = timeline.total_ns(TimelineEventKind::StageCompute);
-    let tl_barrier = timeline.total_ns(TimelineEventKind::BarrierWait);
-    let agree = |name: &str, tl: u64, prof: u64| {
-        let rel = if prof > 0 {
-            100.0 * (tl as f64 - prof as f64) / prof as f64
-        } else {
-            0.0
-        };
-        println!(
-            "  {name}: timeline {:.1} µs vs profile {:.1} µs ({rel:+.2}%)",
-            tl as f64 / 1e3,
-            prof as f64 / 1e3
-        );
-    };
-    agree("compute", tl_compute, profile.total_compute_ns());
-    agree("barrier wait", tl_barrier, profile.total_barrier_wait_ns());
+    println!(
+        "  run: compute {:.1} µs, barrier wait {:.1} µs (share {:.2}%), {} event(s) lost",
+        profile.total_compute_ns() as f64 / 1e3,
+        profile.total_barrier_wait_ns() as f64 / 1e3,
+        100.0 * profile.barrier_share(),
+        profile.timeline_dropped
+    );
 
     // Static sanity: non-overlapping per-thread spans, nesting, and one
     // barrier release per thread per synchronized stage.
-    let tl_events: Vec<TlEvent> = events
-        .iter()
-        .map(|e| TlEvent {
-            tid: e.tid,
-            kind: match e.kind {
-                TimelineEventKind::PoolJob => TlKind::PoolJob,
-                TimelineEventKind::StageCompute => TlKind::StageCompute,
-                TimelineEventKind::BarrierWait => TlKind::BarrierWait,
-                TimelineEventKind::TunerCandidate => TlKind::TunerCandidate,
-                TimelineEventKind::BatchTransform => TlKind::BatchTransform,
-                TimelineEventKind::BarrierRelease => TlKind::BarrierRelease,
-                TimelineEventKind::WatchdogFire => TlKind::WatchdogFire,
-                TimelineEventKind::TunerReject => TlKind::TunerReject,
-                TimelineEventKind::RequestServe => TlKind::RequestServe,
-                TimelineEventKind::PoolExecute => TlKind::PoolExecute,
-                TimelineEventKind::SloBreach => TlKind::SloBreach,
-            },
-            stage: e.stage,
-            start_ns: e.start_ns,
-            end_ns: e.end_ns,
-        })
-        .collect();
-    let diags = verify_timeline(&tl_events, threads, tuned.plan.steps.len());
+    let diags = verify_timeline(&events, threads, tuned.plan.steps.len());
     if diags.is_empty() {
         println!("  checker: timeline is well-formed");
     } else {

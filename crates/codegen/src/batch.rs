@@ -181,7 +181,7 @@ impl BatchExecutor {
         };
         #[cfg(feature = "trace")]
         let run_result = match tr.timeline {
-            Some(tl) => self.pool.try_run_observed(&job, None, Some(tl)),
+            Some(tl) => self.pool.try_run_observed(&job, tl),
             None => self.pool.try_run(&job),
         };
         #[cfg(not(feature = "trace"))]

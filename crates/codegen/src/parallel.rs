@@ -165,21 +165,10 @@ fn pool_watchdog(stage_watchdog: Duration) -> Duration {
 /// the untraced executor.
 #[derive(Clone, Copy, Default)]
 struct ExecTrace<'a> {
-    /// Where per-(stage, thread) timings go, when tracing this run.
+    /// Where timestamped spans/instants go, when observing this run.
     #[cfg(feature = "trace")]
-    sink: Option<&'a dyn spiral_smp::trace::TraceSink>,
-    /// Where timestamped spans/instants go, when timelining this run.
-    #[cfg(feature = "trace")]
-    timeline: Option<&'a dyn spiral_smp::trace::TimelineSink>,
+    timeline: Option<&'a spiral_trace::Timeline>,
     _marker: std::marker::PhantomData<&'a ()>,
-}
-
-#[cfg(feature = "trace")]
-impl ExecTrace<'_> {
-    /// Any sink attached — timestamps must be taken for this run.
-    fn observing(&self) -> bool {
-        self.sink.is_some() || self.timeline.is_some()
-    }
 }
 
 impl ParallelExecutor {
@@ -252,9 +241,9 @@ impl ParallelExecutor {
     }
 
     /// Execute `plan` on `x` while recording per-(stage, thread) compute
-    /// time, barrier-wait time, job counts, and element counts into a
-    /// fresh `spiral_trace::Collector`, returning the output together
-    /// with the aggregated [`spiral_trace::RunProfile`]. Failure behavior
+    /// and barrier-wait spans into a private timeline sized for the
+    /// plan, returning the output together with the
+    /// [`spiral_trace::RunProfile`] folded from them. Failure behavior
     /// is identical to [`try_execute`](Self::try_execute).
     ///
     /// Only available with the `trace` feature; without it the executor
@@ -265,16 +254,23 @@ impl ParallelExecutor {
         plan: &Plan,
         x: &[Cplx],
     ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        self.observed_impl(plan, x, None)
+        // A thread records a compute span, a barrier-wait span and a
+        // release (or watchdog) mark per step, plus its pool-job span.
+        let timeline =
+            spiral_trace::Timeline::with_capacity(self.threads, 3 * plan.steps.len() + 1);
+        self.try_execute_observed(plan, x, &timeline)
     }
 
-    /// Like [`try_execute_traced`](Self::try_execute_traced), but
-    /// additionally stream timestamped spans and instants (pool job,
-    /// per-stage compute, barrier arrive→release, watchdog fires) into
-    /// `timeline` — the event source for Chrome-trace/Perfetto export
-    /// (`spiral_trace::Timeline`). The returned [`spiral_trace::RunProfile`]
-    /// aggregates the *same* run, so timeline durations can be
-    /// cross-checked against profile totals.
+    /// Execute `plan` on `x` while streaming timestamped spans and
+    /// instants (pool job, per-stage compute, barrier arrive→release,
+    /// watchdog fires) into `timeline`, the event source for
+    /// Chrome-trace/Perfetto export. The returned
+    /// [`spiral_trace::RunProfile`] is the fold of exactly the events
+    /// this run wrote: events already in `timeline` are not counted, and
+    /// `timeline_dropped` counts this run's events lost to ring wrap.
+    /// `timeline` needs a ring per executor thread. Concurrent observed
+    /// runs on this executor may share one `timeline`: they run one
+    /// after another, and each folds only its own events.
     ///
     /// Only available with the `trace` feature.
     #[cfg(feature = "trace")]
@@ -282,32 +278,40 @@ impl ParallelExecutor {
         &self,
         plan: &Plan,
         x: &[Cplx],
-        timeline: &dyn spiral_smp::trace::TimelineSink,
+        timeline: &spiral_trace::Timeline,
     ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        self.observed_impl(plan, x, Some(timeline))
-    }
-
-    #[cfg(feature = "trace")]
-    fn observed_impl(
-        &self,
-        plan: &Plan,
-        x: &[Cplx],
-        timeline: Option<&dyn spiral_smp::trace::TimelineSink>,
-    ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        let collector = spiral_trace::Collector::new(self.threads, plan.steps.len());
+        if timeline.threads() < self.threads {
+            return Err(SpiralError::Plan(format!(
+                "timeline records {} threads, executor runs {}",
+                timeline.threads(),
+                self.threads
+            )));
+        }
+        self.check_runnable(plan, x)?;
+        // Hold the run lock from the cursor to the read-back, so a
+        // concurrent observed run on this executor cannot write into the
+        // window between them.
+        let mut ws = lock_recover(&self.ws);
+        let from = timeline.cursor();
         let wall_t0 = std::time::Instant::now();
-        let out = self.exec_impl(
+        let out = self.run_locked(
+            &mut ws,
             plan,
             x,
             ExecTrace {
-                sink: Some(&collector),
-                timeline,
+                timeline: Some(timeline),
                 _marker: std::marker::PhantomData,
             },
         )?;
         let wall = wall_t0.elapsed();
+        let (events, dropped) = timeline.events_since(&from);
+        drop(ws);
         let labels: Vec<String> = plan.steps.iter().map(|s| s.label()).collect();
-        Ok((out, collector.finish(plan.n, &labels, wall)))
+        let (n, mu, threads) = (plan.n, plan.mu.max(1), self.threads);
+        let portion = |si: usize, tid: usize| portion_stats(&plan.steps[si], n, mu, tid, threads);
+        let profile =
+            spiral_trace::RunProfile::fold(n, threads, &labels, portion, wall, &events, dropped);
+        Ok((out, profile))
     }
 
     fn exec_impl(
@@ -316,7 +320,14 @@ impl ParallelExecutor {
         x: &[Cplx],
         tr: ExecTrace<'_>,
     ) -> Result<Vec<Cplx>, SpiralError> {
-        let _ = &tr;
+        self.check_runnable(plan, x)?;
+        let mut ws = lock_recover(&self.ws);
+        self.run_locked(&mut ws, plan, x, tr)
+    }
+
+    /// Reject a size mismatch, a plan wider than the executor, and (in
+    /// debug builds) a plan that fails static verification.
+    fn check_runnable(&self, plan: &Plan, x: &[Cplx]) -> Result<(), SpiralError> {
         if x.len() != plan.n {
             return Err(SpiralError::Plan(format!(
                 "input length {} does not match plan size {}",
@@ -341,8 +352,19 @@ impl ParallelExecutor {
                 )));
             }
         }
+        Ok(())
+    }
+
+    /// One run on the workspace `ws` of the held run lock.
+    fn run_locked(
+        &self,
+        ws: &mut StageWorkspace,
+        plan: &Plan,
+        x: &[Cplx],
+        tr: ExecTrace<'_>,
+    ) -> Result<Vec<Cplx>, SpiralError> {
+        let _ = &tr;
         let n = plan.n;
-        let mut ws = lock_recover(&self.ws);
         ws.prepare(n, plan.steps.len())?;
         let shared = SharedBufs {
             x,
@@ -393,37 +415,33 @@ impl ParallelExecutor {
                     None => false,
                 };
                 #[cfg(feature = "trace")]
-                let compute_t0 = tr.observing().then(std::time::Instant::now);
+                let compute_t0 = tr.timeline.map(|_| std::time::Instant::now());
                 run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, &mut tmp);
                 #[cfg(feature = "trace")]
-                let compute_t1 = tr.observing().then(std::time::Instant::now);
+                let compute_t1 = tr.timeline.map(|_| std::time::Instant::now());
                 #[cfg(feature = "faults")]
                 if corrupt {
                     inject_nan(step, n, plan.mu.max(1), tid, threads, dst);
                 }
                 #[cfg(feature = "trace")]
-                let barrier_t0 = tr.observing().then(std::time::Instant::now);
+                let barrier_t0 = tr.timeline.map(|_| std::time::Instant::now());
                 let waited = barrier.wait_deadline(watchdog);
                 #[cfg(feature = "trace")]
-                if let (Some(t0), Some(t1), Some(b0)) = (compute_t0, compute_t1, barrier_t0) {
+                if let (Some(tl), Some(t0), Some(t1), Some(b0)) =
+                    (tr.timeline, compute_t0, compute_t1, barrier_t0)
+                {
+                    use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
                     // Arrival → release span: on a clean stage this is the
                     // time spent blocked waiting for slower peers.
                     let b1 = std::time::Instant::now();
-                    if let Some(sink) = tr.sink {
-                        let (jobs, elements) = portion_stats(step, n, plan.mu.max(1), tid, threads);
-                        sink.stage(tid, si, t1 - t0, b1 - b0, jobs, elements);
-                    }
-                    if let Some(tl) = tr.timeline {
-                        use spiral_smp::trace::{MarkKind, SpanKind};
-                        let si = crate::u32_idx(si);
-                        tl.span(tid, SpanKind::StageCompute, si, t0, t1);
-                        tl.span(tid, SpanKind::BarrierWait, si, b0, b1);
-                        let mark = match &waited {
-                            Ok(_) => MarkKind::BarrierRelease,
-                            Err(_) => MarkKind::WatchdogFire,
-                        };
-                        tl.mark(tid, mark, si, b1);
-                    }
+                    let si = crate::u32_idx(si);
+                    tl.span(tid, SpanKind::StageCompute, si, t0, t1);
+                    tl.span(tid, SpanKind::BarrierWait, si, b0, b1);
+                    let mark = match &waited {
+                        Ok(_) => MarkKind::BarrierRelease,
+                        Err(_) => MarkKind::WatchdogFire,
+                    };
+                    tl.mark(tid, mark, si, b1);
                 }
                 if let Err(e) = waited {
                     failed.store(true, Ordering::Release);
@@ -436,10 +454,9 @@ impl ParallelExecutor {
             }
         };
         #[cfg(feature = "trace")]
-        let run_result = if tr.observing() {
-            self.pool.try_run_observed(&job, tr.sink, tr.timeline)
-        } else {
-            self.pool.try_run(&job)
+        let run_result = match tr.timeline {
+            Some(tl) => self.pool.try_run_observed(&job, tl),
+            None => self.pool.try_run(&job),
         };
         #[cfg(not(feature = "trace"))]
         let run_result = self.pool.try_run(&job);

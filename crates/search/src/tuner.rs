@@ -492,7 +492,8 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn observed_search_records_candidate_spans() {
-        use spiral_trace::{Timeline, TimelineEventKind};
+        use spiral_smp::trace::{MarkKind, SpanKind};
+        use spiral_trace::Timeline;
         let tl = Timeline::new(1);
         let t = Tuner::new(2, 4, CostModel::Analytic);
         let outcome = t.tune_parallel_report_observed(256, &tl).unwrap();
@@ -500,13 +501,13 @@ mod tests {
         let events = tl.events();
         let spans = events
             .iter()
-            .filter(|e| e.kind == TimelineEventKind::TunerCandidate)
+            .filter(|e| e.is_span(SpanKind::TunerCandidate))
             .count();
         // One span per candidate that passed static verification.
         assert_eq!(spans, outcome.report.evaluated);
         let rejects = events
             .iter()
-            .filter(|e| e.kind == TimelineEventKind::TunerReject)
+            .filter(|e| e.is_mark(MarkKind::TunerReject))
             .count();
         assert_eq!(rejects, outcome.report.quarantined.len());
         // All attributed to the coordinating thread, chronological.

@@ -54,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "trace")]
-use spiral_smp::trace::{SpanKind, TimelineSink};
+use spiral_smp::trace::SpanKind;
 
 /// Server tuning knobs. `Default` is sized for tests and small hosts;
 /// production callers set `workers` to the machine's core count
@@ -96,10 +96,6 @@ pub struct ServerConfig {
     /// Where to persist the flight-recorder export on the *first* SLO
     /// breach (`None` = never persist; `SS01 dump` still works).
     pub flight_record_path: Option<PathBuf>,
-    /// Optional timeline sink; workers record one `RequestServe` span
-    /// per served request (tid = worker index).
-    #[cfg(feature = "trace")]
-    pub sink: Option<Arc<dyn TimelineSink + Send + Sync>>,
 }
 
 impl Default for ServerConfig {
@@ -117,8 +113,6 @@ impl Default for ServerConfig {
             metrics_enabled: true,
             slo_fraction: 1.0,
             flight_record_path: None,
-            #[cfg(feature = "trace")]
-            sink: None,
         }
     }
 }
@@ -543,10 +537,6 @@ fn serve_connection(wid: usize, shared: &Shared, mut stream: TcpStream, request_
         *request_seq = request_seq.wrapping_add(1);
         let response = handle_request(shared, request, arrival, seq);
         let finished = Instant::now();
-        #[cfg(feature = "trace")]
-        if let Some(sink) = &shared.cfg.sink {
-            sink.span(wid, SpanKind::RequestServe, seq, arrival, finished);
-        }
         if shared.cfg.metrics_enabled {
             shared
                 .metrics
@@ -769,8 +759,8 @@ fn dispatch_loop(shared: &Shared) {
     }
 }
 
-/// Record the dispatch's `PoolExecute` span in the flight recorder and
-/// the optional configured sink (stage = dispatch sequence number).
+/// Record the dispatch's `PoolExecute` span in the flight recorder
+/// (stage = dispatch sequence number).
 #[cfg(feature = "trace")]
 fn observe_pool_execute(shared: &Shared, lane: usize, stage: u32, start: Instant, end: Instant) {
     use spiral_smp::trace::TimelineSink as _;
@@ -778,9 +768,6 @@ fn observe_pool_execute(shared: &Shared, lane: usize, stage: u32, start: Instant
         .metrics
         .recorder()
         .span(lane, SpanKind::PoolExecute, stage, start, end);
-    if let Some(sink) = &shared.cfg.sink {
-        sink.span(lane, SpanKind::PoolExecute, stage, start, end);
-    }
 }
 
 #[cfg(not(feature = "trace"))]

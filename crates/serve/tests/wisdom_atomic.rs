@@ -16,6 +16,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn save_leaves_the_file_and_no_temp_behind() {
+    // The fault registry is process-wide: hold its session so this save
+    // never runs while the torn-write test below has a save fault armed.
+    #[cfg(feature = "faults")]
+    let _session = spiral_smp::faults::serve_session();
     let dir = scratch_dir("clean");
     let path = dir.join("wisdom.json");
     let (svc, _) = PlanService::with_wisdom(1, 4, &path);
@@ -44,6 +48,10 @@ fn save_leaves_the_file_and_no_temp_behind() {
 
 #[test]
 fn torn_file_on_disk_is_rejected_cleanly_not_parsed() {
+    // The fault registry is process-wide: hold its session so this save
+    // never runs while the torn-write test below has a save fault armed.
+    #[cfg(feature = "faults")]
+    let _session = spiral_smp::faults::serve_session();
     let dir = scratch_dir("torn");
     let path = dir.join("wisdom.json");
 
@@ -79,6 +87,10 @@ fn torn_file_on_disk_is_rejected_cleanly_not_parsed() {
 
 #[test]
 fn rewriting_an_existing_file_is_all_or_nothing() {
+    // The fault registry is process-wide: hold its session so this save
+    // never runs while the torn-write test below has a save fault armed.
+    #[cfg(feature = "faults")]
+    let _session = spiral_smp::faults::serve_session();
     let dir = scratch_dir("rewrite");
     let path = dir.join("wisdom.json");
 

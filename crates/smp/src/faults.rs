@@ -281,6 +281,14 @@ pub fn install_serve(plan: ServeFaultPlan) -> ServeFaultGuard {
     ServeFaultGuard { _session: session }
 }
 
+/// Hold the request-path session without installing a plan. The
+/// registry is process-wide, so a fault-free test that shares a binary
+/// with fault tests takes this guard to run between their plans, never
+/// during one.
+pub fn serve_session() -> MutexGuard<'static, ()> {
+    SERVE_SESSION.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// True when a request-path fault plan is installed.
 pub fn serve_active() -> bool {
     lock_recover(&SERVE_ACTIVE).is_some()

@@ -15,9 +15,11 @@
 //!   poison recovery);
 //! * [`faults`] *(feature `faults`)* — deterministic fault injection for
 //!   exercising the failure model;
-//! * [`trace`] *(feature `trace`)* — the [`trace::TraceSink`] hook the
-//!   execution layers report per-thread timing events through (the
-//!   collector lives in `spiral-trace`).
+//! * [`trace`] — the one event vocabulary ([`trace::Event`],
+//!   [`trace::SpanKind`], [`trace::MarkKind`]) and the
+//!   [`trace::TimelineSink`] hook the execution layers report through
+//!   when built with the `trace` feature (the recorder lives in
+//!   `spiral-trace`).
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,6 @@ pub mod error;
 pub mod faults;
 pub mod pool;
 pub mod topology;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use align::{AlignedVec, CACHE_LINE_BYTES};

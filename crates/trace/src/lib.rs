@@ -7,51 +7,42 @@
 //! crate adds the missing middle layer: *measuring where time actually
 //! goes inside a run*, per stage and per thread.
 //!
-//! Two pieces:
+//! There is one recorder and one event type:
 //!
-//! * [`Collector`] — the in-run recorder. One cache-line-padded slot per
-//!   `(stage, thread)` pair (64-byte aligned, matching
-//!   [`spiral_smp::CACHE_LINE_BYTES`]), written only by its owning
-//!   thread through the [`spiral_smp::trace::TraceSink`] hook, so
-//!   recording adds no shared-write contention to the run it observes.
-//! * [`RunProfile`] — the aggregated, serializable result, with the
-//!   derived metrics the paper's claims are stated in: per-stage
-//!   load-imbalance ratio (`max/mean` compute time), barrier-wait share,
-//!   and per-stage throughput.
+//! * [`Timeline`] — bounded lock-free per-thread rings of the
+//!   [`spiral_smp::trace::Event`]s the executors report through the
+//!   [`spiral_smp::trace::TimelineSink`] hook, with Chrome-trace/Perfetto
+//!   export. [`FlightRecorder`] is the same rings running always-on in
+//!   the serving tier.
+//! * [`RunProfile`] — a [`fold`](RunProfile::fold) over the events one
+//!   run wrote, with the derived metrics the paper's claims are stated
+//!   in: per-stage load-imbalance ratio (`max/mean` compute time),
+//!   barrier-wait share, and per-stage throughput.
 //!
 //! Profiles of repeated runs [`merge`](RunProfile::try_merge)
 //! associatively and commutatively (they are sums of per-slot counters),
 //! and every derived metric is invariant under permutation of the thread
 //! slots — both properties are enforced by the crate's property tests.
 //!
-//! The layer is feature-gated end to end (`trace` on `spiral-smp`,
+//! Recording is gated at the call sites (`trace` on `spiral-smp`,
 //! `spiral-codegen`, …, mirroring the `faults` pattern): with the
-//! feature off nothing here is reachable from the executors and the
-//! instrumentation cost is exactly zero; with it on, the cost is two
-//! monotonic clock reads and one padded-slot accumulation per
-//! `(stage, thread)` — bounded, and measured by the `ablation-trace`
-//! bench.
+//! feature off nothing records and the instrumentation cost is exactly
+//! zero; with it on, the cost is four monotonic clock reads and three
+//! ring pushes per `(stage, thread)` — bounded, and measured by the
+//! `ablation-trace` bench. The serving-side [`metrics`] histograms live
+//! here too.
 
 #![warn(missing_docs)]
 
 pub mod metrics;
-#[cfg(feature = "sink")]
 pub mod recorder;
-#[cfg(feature = "sink")]
 pub mod timeline;
 
-#[cfg(feature = "sink")]
 pub use recorder::FlightRecorder;
-#[cfg(feature = "sink")]
-pub use timeline::{Timeline, TimelineEvent, TimelineEventKind};
+pub use timeline::{Cursor, Timeline};
 
 use serde::{Deserialize, Serialize};
-#[cfg(feature = "sink")]
-use spiral_smp::trace::TraceSink;
-#[cfg(feature = "sink")]
-use spiral_smp::CACHE_LINE_BYTES;
-#[cfg(feature = "sink")]
-use std::sync::atomic::{AtomicU64, Ordering};
+use spiral_smp::trace::{Event, EventKind, SpanKind};
 use std::time::Duration;
 
 /// Duration → saturating nanosecond count (u64 holds ~584 years).
@@ -80,153 +71,6 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// (field layout unchanged from the struct this crate used to define, so
 /// serialized v2 profiles stay readable).
 pub use spiral_smp::topology::HostFingerprint as HostMeta;
-
-/// One `(stage, thread)` accumulation slot, padded to a full cache line
-/// so concurrent writers never share a line (the same guarantee the
-/// executor's data buffers get from `smp::align`).
-#[cfg(feature = "sink")]
-#[repr(align(64))]
-#[derive(Default)]
-struct Slot {
-    compute_ns: AtomicU64,
-    barrier_wait_ns: AtomicU64,
-    jobs: AtomicU64,
-    elements: AtomicU64,
-}
-
-#[cfg(feature = "sink")]
-const _: () = assert!(std::mem::align_of::<Slot>() == CACHE_LINE_BYTES);
-#[cfg(feature = "sink")]
-const _: () = assert!(std::mem::size_of::<Slot>() == CACHE_LINE_BYTES);
-
-/// One per-thread pool-job slot, padded like [`Slot`].
-#[cfg(feature = "sink")]
-#[repr(align(64))]
-#[derive(Default)]
-struct JobSlot {
-    total_ns: AtomicU64,
-}
-
-/// In-run recorder: `threads × stages` padded slots plus one pool-job
-/// slot per thread. Implements [`TraceSink`]; plug it into
-/// `ParallelExecutor::try_execute_traced` (feature `trace`) or any other
-/// instrumented runner, then [`finish`](Collector::finish) it into a
-/// [`RunProfile`].
-#[cfg(feature = "sink")]
-pub struct Collector {
-    threads: usize,
-    stages: usize,
-    /// Indexed `tid * stages + stage`: a thread's slots are contiguous.
-    slots: Box<[Slot]>,
-    jobs: Box<[JobSlot]>,
-}
-
-#[cfg(feature = "sink")]
-impl Collector {
-    /// Collector for `threads` threads and `stages` plan steps.
-    pub fn new(threads: usize, stages: usize) -> Collector {
-        let threads = threads.max(1);
-        Collector {
-            threads,
-            stages,
-            slots: (0..threads * stages).map(|_| Slot::default()).collect(),
-            jobs: (0..threads).map(|_| JobSlot::default()).collect(),
-        }
-    }
-
-    /// Number of thread slots.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of stage slots.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Zero every slot (reuse across runs without reallocating).
-    pub fn reset(&self) {
-        for s in self.slots.iter() {
-            s.compute_ns.store(0, Ordering::Relaxed);
-            s.barrier_wait_ns.store(0, Ordering::Relaxed);
-            s.jobs.store(0, Ordering::Relaxed);
-            s.elements.store(0, Ordering::Relaxed);
-        }
-        for j in self.jobs.iter() {
-            j.total_ns.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Aggregate the recorded slots into a [`RunProfile`]. `labels` are
-    /// the stage IR labels (padded/truncated to the slot count), `n` the
-    /// transform size, `wall` the whole-run wall-clock span.
-    pub fn finish(&self, n: usize, labels: &[String], wall: Duration) -> RunProfile {
-        let stages = (0..self.stages)
-            .map(|si| StageProfile {
-                index: si as u64,
-                label: labels.get(si).cloned().unwrap_or_else(|| "?".to_string()),
-                threads: (0..self.threads)
-                    .map(|tid| {
-                        let s = &self.slots[tid * self.stages + si];
-                        ThreadStageStats {
-                            compute_ns: s.compute_ns.load(Ordering::Relaxed),
-                            barrier_wait_ns: s.barrier_wait_ns.load(Ordering::Relaxed),
-                            jobs: s.jobs.load(Ordering::Relaxed),
-                            elements: s.elements.load(Ordering::Relaxed),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        RunProfile {
-            schema: SCHEMA_VERSION,
-            n: n as u64,
-            threads: self.threads as u64,
-            runs: 1,
-            wall_ns: ns_u64(wall),
-            host: HostMeta::current(),
-            pool_job_ns: self
-                .jobs
-                .iter()
-                .map(|j| j.total_ns.load(Ordering::Relaxed))
-                .collect(),
-            timeline_dropped: 0,
-            stages,
-        }
-    }
-}
-
-#[cfg(feature = "sink")]
-impl TraceSink for Collector {
-    fn stage(
-        &self,
-        tid: usize,
-        stage: usize,
-        compute: Duration,
-        barrier_wait: Duration,
-        jobs: u64,
-        elements: u64,
-    ) {
-        if tid >= self.threads || stage >= self.stages {
-            return;
-        }
-        // Relaxed: each slot is written by exactly one thread; the
-        // publisher's run-completion synchronization orders the final
-        // reads in `finish`.
-        let s = &self.slots[tid * self.stages + stage];
-        s.compute_ns.fetch_add(ns_u64(compute), Ordering::Relaxed);
-        s.barrier_wait_ns
-            .fetch_add(ns_u64(barrier_wait), Ordering::Relaxed);
-        s.jobs.fetch_add(jobs, Ordering::Relaxed);
-        s.elements.fetch_add(elements, Ordering::Relaxed);
-    }
-
-    fn pool_job(&self, tid: usize, total: Duration) {
-        if let Some(j) = self.jobs.get(tid) {
-            j.total_ns.fetch_add(ns_u64(total), Ordering::Relaxed);
-        }
-    }
-}
 
 /// What one thread did in one stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -316,16 +160,81 @@ pub struct RunProfile {
     pub host: HostMeta,
     /// Whole-job nanoseconds per thread (pool-level spans).
     pub pool_job_ns: Vec<u64>,
-    /// Timeline events overwritten (ring-wrap drops) while the profiled
-    /// runs were recorded: 0 when no bounded `Timeline` was attached or
-    /// nothing wrapped, nonzero when the rings lost history — a profile
-    /// whose timeline silently truncated must say so.
+    /// Events of the profiled runs that the bounded `Timeline` rings
+    /// overwrote before the fold read them: 0 when nothing wrapped,
+    /// nonzero when the profile is missing spans — a profile whose
+    /// timeline silently truncated must say so.
     pub timeline_dropped: u64,
     /// Per-stage measurements, in plan order.
     pub stages: Vec<StageProfile>,
 }
 
 impl RunProfile {
+    /// Fold the events one run wrote to a [`Timeline`] into its profile.
+    ///
+    /// `StageCompute` spans sum into each `(stage, thread)`'s compute
+    /// time, `BarrierWait` spans into its barrier wait, and `PoolJob`
+    /// spans into the thread's pool-job time; other events are not part
+    /// of a stage profile. Jobs and elements are not timed: they come
+    /// from the static schedule, `portion(stage, tid) = (jobs,
+    /// elements)`. `labels` names the stages (one per plan step),
+    /// `dropped` is how many of the run's events the rings lost, and
+    /// events of threads `>= threads` or stages `>= labels.len()` are
+    /// ignored.
+    pub fn fold(
+        n: usize,
+        threads: usize,
+        labels: &[String],
+        portion: impl Fn(usize, usize) -> (u64, u64),
+        wall: Duration,
+        events: &[Event],
+        dropped: u64,
+    ) -> RunProfile {
+        let threads = threads.max(1);
+        let mut stages: Vec<StageProfile> = labels
+            .iter()
+            .enumerate()
+            .map(|(si, label)| StageProfile {
+                index: si as u64,
+                label: label.clone(),
+                threads: (0..threads)
+                    .map(|tid| {
+                        let (jobs, elements) = portion(si, tid);
+                        ThreadStageStats {
+                            jobs,
+                            elements,
+                            ..ThreadStageStats::default()
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut pool_job_ns = vec![0; threads];
+        for e in events.iter().filter(|e| e.tid < threads) {
+            let ns = e.duration_ns();
+            let slot = stages
+                .get_mut(e.stage as usize)
+                .map(|s| &mut s.threads[e.tid]);
+            match (e.kind, slot) {
+                (EventKind::Span(SpanKind::StageCompute), Some(t)) => t.compute_ns += ns,
+                (EventKind::Span(SpanKind::BarrierWait), Some(t)) => t.barrier_wait_ns += ns,
+                (EventKind::Span(SpanKind::PoolJob), _) => pool_job_ns[e.tid] += ns,
+                _ => {}
+            }
+        }
+        RunProfile {
+            schema: SCHEMA_VERSION,
+            n: n as u64,
+            threads: threads as u64,
+            runs: 1,
+            wall_ns: ns_u64(wall),
+            host: HostMeta::current(),
+            pool_job_ns,
+            timeline_dropped: dropped,
+            stages,
+        }
+    }
+
     /// Total compute nanoseconds over all stages and threads.
     pub fn total_compute_ns(&self) -> u64 {
         self.stages.iter().map(|s| s.compute_ns()).sum()
@@ -472,15 +381,6 @@ impl RunProfile {
         })
     }
 
-    /// Stamp the drop count of the bounded [`Timeline`] that observed
-    /// these runs: nonzero means the ring wrapped and the exported
-    /// timeline is missing its oldest events.
-    #[cfg(feature = "sink")]
-    pub fn with_timeline(mut self, timeline: &Timeline) -> RunProfile {
-        self.timeline_dropped = timeline.total_dropped();
-        self
-    }
-
     /// Relabel the thread slots through `perm` (`perm[new_tid] =
     /// old_tid`). Physical thread identity carries no schedule meaning,
     /// so every derived metric is invariant under this map — the
@@ -544,47 +444,61 @@ fn ratio_max_mean(values: impl Iterator<Item = u64>) -> f64 {
     max as f64 * count as f64 / sum as f64
 }
 
-#[cfg(all(test, feature = "sink"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+    use spiral_smp::trace::MarkKind;
+
+    fn span(tid: usize, kind: SpanKind, stage: u32, ns: u64) -> Event {
+        Event {
+            tid,
+            kind: EventKind::Span(kind),
+            stage,
+            start_ns: 1_000,
+            end_ns: 1_000 + ns,
+        }
+    }
+
+    /// One stage labelled `x`, no scheduled work, 1 ns wall.
+    fn fold_one_stage(threads: usize, events: &[Event], dropped: u64) -> RunProfile {
+        let labels = ["x".to_string()];
+        let wall = Duration::from_nanos(1);
+        RunProfile::fold(8, threads, &labels, |_, _| (0, 0), wall, events, dropped)
+    }
 
     /// A deterministic profile for metric tests: 2 stages × 3 threads.
     fn sample() -> RunProfile {
-        let c = Collector::new(3, 2);
+        let mut ev = Vec::new();
         // Stage 0: balanced 100ns each, 8 elements each.
         for tid in 0..3 {
-            c.stage(
-                tid,
-                0,
-                Duration::from_nanos(100),
-                Duration::from_nanos(10),
-                1,
-                8,
-            );
+            ev.push(span(tid, SpanKind::StageCompute, 0, 100));
+            ev.push(span(tid, SpanKind::BarrierWait, 0, 10));
         }
         // Stage 1: thread 2 does double work.
         for (tid, ns) in [(0usize, 100u64), (1, 100), (2, 200)] {
-            c.stage(
-                tid,
-                1,
-                Duration::from_nanos(ns),
-                Duration::from_nanos(5),
-                1,
-                ns / 10,
-            );
+            ev.push(span(tid, SpanKind::StageCompute, 1, ns));
+            ev.push(span(tid, SpanKind::BarrierWait, 1, 5));
         }
-        c.pool_job(0, Duration::from_nanos(400));
-        c.pool_job(1, Duration::from_nanos(400));
-        c.pool_job(2, Duration::from_nanos(500));
-        c.finish(
+        ev.push(span(0, SpanKind::PoolJob, 0, 400));
+        ev.push(span(1, SpanKind::PoolJob, 0, 400));
+        ev.push(span(2, SpanKind::PoolJob, 0, 500));
+        let portion = |si: usize, tid: usize| match si {
+            0 => (1, 8),
+            _ => (1, [10, 10, 20][tid]),
+        };
+        RunProfile::fold(
             64,
+            3,
             &["par[3x8]".to_string(), "exchange(mu=4)".to_string()],
+            portion,
             Duration::from_nanos(600),
+            &ev,
+            0,
         )
     }
 
     #[test]
-    fn metrics_from_collected_slots() {
+    fn metrics_from_folded_events() {
         let p = sample();
         assert_eq!(p.threads, 3);
         assert_eq!(p.stages.len(), 2);
@@ -596,6 +510,32 @@ mod tests {
         // Barrier share: waits 3*10 + 3*5 = 45; compute 300 + 400 = 700.
         assert!((p.barrier_share() - 45.0 / 745.0).abs() < 1e-12);
         assert_eq!(p.per_thread_compute_ns(), vec![200, 200, 300]);
+        assert_eq!(p.pool_job_ns, vec![400, 400, 500]);
+        // Jobs and elements come from the schedule, not the events.
+        assert_eq!(p.stages[1].elements(), 40);
+        assert!(p
+            .stages
+            .iter()
+            .all(|s| s.threads.iter().all(|t| t.jobs == 1)));
+    }
+
+    #[test]
+    fn fold_sums_repeated_spans_and_skips_other_kinds() {
+        let ev = vec![
+            span(0, SpanKind::StageCompute, 0, 30),
+            span(0, SpanKind::StageCompute, 0, 12),
+            span(0, SpanKind::TunerCandidate, 0, 1_000),
+            span(0, SpanKind::BatchTransform, 0, 1_000),
+            Event {
+                kind: EventKind::Mark(MarkKind::BarrierRelease),
+                ..span(0, SpanKind::PoolJob, 0, 0)
+            },
+        ];
+        let p = fold_one_stage(1, &ev, 7);
+        assert_eq!(p.total_compute_ns(), 42);
+        assert_eq!(p.total_barrier_wait_ns(), 0);
+        assert_eq!(p.pool_job_ns, vec![0]);
+        assert_eq!(p.timeline_dropped, 7);
     }
 
     #[test]
@@ -625,14 +565,15 @@ mod tests {
     }
 
     #[test]
-    fn finish_stamps_current_host() {
+    fn fold_stamps_current_host() {
         let p = sample();
         assert_eq!(p.schema, SCHEMA_VERSION);
         assert_eq!(p.host, HostMeta::current());
         assert!(p.host.cores >= 1);
         assert!(p.host.mu >= 1);
         assert!(p.host.cache_line_bytes.is_power_of_two());
-        // spiral-trace linked in implies the trace layer is compiled in.
+        // The dev-dependency on `spiral-codegen/trace` turns on
+        // `spiral-smp/trace` in this build, so the flag must be stamped.
         assert!(p.host.features.iter().any(|f| f == "trace"));
     }
 
@@ -646,32 +587,21 @@ mod tests {
 
     #[test]
     fn idle_stage_reports_unit_imbalance() {
-        let c = Collector::new(4, 1);
-        let p = c.finish(16, &["seq".to_string()], Duration::from_nanos(1));
+        let p = fold_one_stage(4, &[], 0);
         assert_eq!(p.stages[0].imbalance(), 1.0);
         assert_eq!(p.barrier_share(), 0.0);
         assert_eq!(p.stages[0].throughput_eps(), 0.0);
     }
 
     #[test]
-    fn collector_ignores_out_of_range_slots() {
-        let c = Collector::new(2, 1);
-        c.stage(7, 0, Duration::from_nanos(1), Duration::from_nanos(1), 1, 1);
-        c.stage(0, 9, Duration::from_nanos(1), Duration::from_nanos(1), 1, 1);
-        c.pool_job(5, Duration::from_nanos(1));
-        let p = c.finish(4, &["x".to_string()], Duration::from_nanos(1));
+    fn fold_ignores_out_of_range_events() {
+        let ev = vec![
+            span(7, SpanKind::StageCompute, 0, 1),
+            span(0, SpanKind::StageCompute, 9, 1),
+            span(5, SpanKind::PoolJob, 0, 1),
+        ];
+        let p = fold_one_stage(2, &ev, 0);
         assert_eq!(p.total_compute_ns(), 0);
         assert_eq!(p.pool_job_ns, vec![0, 0]);
-    }
-
-    #[test]
-    fn slots_are_line_padded() {
-        let c = Collector::new(2, 3);
-        let base = c.slots.as_ptr() as usize;
-        assert_eq!(base % CACHE_LINE_BYTES, 0);
-        for i in 0..c.slots.len() {
-            let addr = &c.slots[i] as *const Slot as usize;
-            assert_eq!(addr % CACHE_LINE_BYTES, 0);
-        }
     }
 }

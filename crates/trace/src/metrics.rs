@@ -1,8 +1,8 @@
 //! Live telemetry primitives: lock-free log-linear histograms, monotonic
 //! counters, gauges, and a static-layout [`MetricsRegistry`].
 //!
-//! [`crate::Collector`] and [`crate::Timeline`] observe *one run* and are
-//! read after it completes. A serving process needs the complement:
+//! A [`crate::Timeline`] observes *one run* and is read after it
+//! completes. A serving process needs the complement:
 //! metrics that accumulate across millions of requests and can be
 //! snapshotted *while the hot path keeps writing*. Three primitives:
 //!

@@ -1,12 +1,13 @@
 //! Event-timeline recording and Chrome-trace/Perfetto export.
 //!
-//! [`crate::Collector`] answers *how much* time each (stage, thread)
-//! pair spent computing and waiting; it cannot answer *when*. Scheduling
-//! gaps, barrier convoys (every thread arriving staggered behind one
-//! straggler), and tuner candidate churn are temporal phenomena, so this
-//! module adds the missing recorder: a [`Timeline`] of timestamped spans
-//! and instants, one bounded lock-free ring buffer per thread, fed
-//! through the [`spiral_smp::trace::TimelineSink`] hook.
+//! A [`Timeline`] records timestamped spans and instants — the
+//! [`Event`]s of `spiral_smp::trace` — into one bounded lock-free ring
+//! buffer per thread, fed through the [`TimelineSink`] hook. It is the
+//! executors' only recorder: a [`crate::RunProfile`] is a fold over the
+//! events one run wrote ([`Timeline::cursor`] /
+//! [`Timeline::events_since`]), and scheduling gaps, barrier convoys
+//! (every thread arriving staggered behind one straggler) and tuner
+//! candidate churn are visible in the same events.
 //!
 //! Design constraints, in order:
 //!
@@ -26,7 +27,7 @@
 //! [Perfetto](https://ui.perfetto.dev).
 
 use serde::Value;
-use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
+use spiral_smp::trace::{Event, EventKind, MarkKind, SpanKind, TimelineSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -35,124 +36,10 @@ use std::time::Instant;
 /// stages deep with room for repeated runs.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// What one timeline event is. Span kinds carry a duration
-/// (`start_ns < end_ns` possible); mark kinds are instants
-/// (`start_ns == end_ns`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TimelineEventKind {
-    /// A thread's whole pool job.
-    PoolJob,
-    /// One thread's portion of one stage.
-    StageCompute,
-    /// Blocked at the stage barrier (arrival → release).
-    BarrierWait,
-    /// The tuner evaluating one candidate (stage = candidate index).
-    TunerCandidate,
-    /// One whole transform executed as part of a batch (stage =
-    /// transform index within the batch).
-    BatchTransform,
-    /// Instant: the stage barrier released this thread.
-    BarrierRelease,
-    /// Instant: a watchdog expired on this thread.
-    WatchdogFire,
-    /// Instant: the tuner quarantined a candidate.
-    TunerReject,
-    /// One served network request on a server worker thread (stage =
-    /// request sequence number on that worker).
-    RequestServe,
-    /// One coalesced batch pushed through the plan executor by a serving
-    /// dispatcher (stage = dispatch sequence number).
-    PoolExecute,
-    /// Instant: a serving SLO breach (deadline blown or request shed);
-    /// stage = the triggering request's sequence number.
-    SloBreach,
-}
-
-impl TimelineEventKind {
-    /// True for instantaneous marks (zero-duration events).
-    pub fn is_instant(self) -> bool {
-        matches!(
-            self,
-            TimelineEventKind::BarrierRelease
-                | TimelineEventKind::WatchdogFire
-                | TimelineEventKind::TunerReject
-                | TimelineEventKind::SloBreach
-        )
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            TimelineEventKind::PoolJob => 0,
-            TimelineEventKind::StageCompute => 1,
-            TimelineEventKind::BarrierWait => 2,
-            TimelineEventKind::TunerCandidate => 3,
-            TimelineEventKind::BarrierRelease => 4,
-            TimelineEventKind::WatchdogFire => 5,
-            TimelineEventKind::TunerReject => 6,
-            TimelineEventKind::BatchTransform => 7,
-            TimelineEventKind::RequestServe => 8,
-            TimelineEventKind::PoolExecute => 9,
-            TimelineEventKind::SloBreach => 10,
-        }
-    }
-
-    fn from_code(c: u64) -> TimelineEventKind {
-        match c {
-            0 => TimelineEventKind::PoolJob,
-            1 => TimelineEventKind::StageCompute,
-            2 => TimelineEventKind::BarrierWait,
-            3 => TimelineEventKind::TunerCandidate,
-            4 => TimelineEventKind::BarrierRelease,
-            5 => TimelineEventKind::WatchdogFire,
-            7 => TimelineEventKind::BatchTransform,
-            8 => TimelineEventKind::RequestServe,
-            9 => TimelineEventKind::PoolExecute,
-            10 => TimelineEventKind::SloBreach,
-            _ => TimelineEventKind::TunerReject,
-        }
-    }
-
-    /// Chrome trace-event category string.
-    pub fn category(self) -> &'static str {
-        match self {
-            TimelineEventKind::PoolJob => "pool",
-            TimelineEventKind::StageCompute | TimelineEventKind::BatchTransform => "compute",
-            TimelineEventKind::BarrierWait | TimelineEventKind::BarrierRelease => "barrier",
-            TimelineEventKind::TunerCandidate | TimelineEventKind::TunerReject => "tuner",
-            TimelineEventKind::WatchdogFire => "fault",
-            TimelineEventKind::RequestServe | TimelineEventKind::PoolExecute => "serve",
-            TimelineEventKind::SloBreach => "slo",
-        }
-    }
-}
-
-/// One recorded event, timestamps in nanoseconds since the timeline's
-/// epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimelineEvent {
-    /// Logical thread that recorded the event.
-    pub tid: usize,
-    /// Event kind (span or instant).
-    pub kind: TimelineEventKind,
-    /// Stage index for executor events, candidate index for tuner
-    /// events, 0 for pool jobs.
-    pub stage: u32,
-    /// Start offset from the timeline epoch, nanoseconds.
-    pub start_ns: u64,
-    /// End offset; equals `start_ns` for instants.
-    pub end_ns: u64,
-}
-
-impl TimelineEvent {
-    /// Span duration in nanoseconds (0 for instants).
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// One slot of a thread ring: `meta` packs `kind` (low 32 bits) and
-/// `stage` (high 32 bits). Plain atomics so concurrent (misuse) access
-/// can tear an event logically but never races.
+/// One slot of a thread ring: `meta` packs the kind code (low 32 bits,
+/// see [`encode`]) and `stage` (high 32 bits). Plain atomics so
+/// concurrent (misuse) access can tear an event logically but never
+/// races.
 #[derive(Default)]
 struct Slot {
     meta: AtomicU64,
@@ -183,36 +70,66 @@ impl ThreadRing {
     /// Record one event. Only the owning thread calls this on the hot
     /// path; relaxed stores are enough because readers are ordered after
     /// the run by the pool's completion synchronization.
-    fn push(&self, kind: TimelineEventKind, stage: u32, start_ns: u64, end_ns: u64) {
+    fn push(&self, kind: EventKind, stage: u32, start_ns: u64, end_ns: u64) {
         let i = self.written.load(Ordering::Relaxed);
         let slot = &self.slots
             [usize::try_from(i % self.slots.len() as u64).expect("index below capacity")];
         slot.meta
-            .store(kind.code() | (u64::from(stage) << 32), Ordering::Relaxed);
+            .store(encode(kind) | (u64::from(stage) << 32), Ordering::Relaxed);
         slot.start_ns.store(start_ns, Ordering::Relaxed);
         slot.end_ns.store(end_ns, Ordering::Relaxed);
         self.written.store(i + 1, Ordering::Release);
     }
 
-    /// Events currently held, oldest first.
-    fn events(&self, tid: usize, out: &mut Vec<TimelineEvent>) {
+    /// Events written at or after position `from` that are still held,
+    /// oldest first; returns how many of them the ring already
+    /// overwrote.
+    fn events_since(&self, tid: usize, from: u64, out: &mut Vec<Event>) -> u64 {
         let written = self.written.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
-        let held = written.min(cap);
-        // Oldest surviving event is at index `written - held` (mod cap).
-        for k in 0..held {
-            let i = usize::try_from((written - held + k) % cap).expect("index below capacity");
+        // Oldest surviving event is at position `written - cap`.
+        let first = from.max(written.saturating_sub(cap)).min(written);
+        for pos in first..written {
+            let i = usize::try_from(pos % cap).expect("index below capacity");
             let meta = self.slots[i].meta.load(Ordering::Relaxed);
-            out.push(TimelineEvent {
+            out.push(Event {
                 tid,
-                kind: TimelineEventKind::from_code(meta & 0xffff_ffff),
+                kind: decode(meta & 0xffff_ffff),
                 stage: (meta >> 32) as u32,
                 start_ns: self.slots[i].start_ns.load(Ordering::Relaxed),
                 end_ns: self.slots[i].end_ns.load(Ordering::Relaxed),
             });
         }
+        first.saturating_sub(from)
     }
 }
+
+/// Ring code of an event kind: the span or mark discriminant, with bit 8
+/// set for marks.
+fn encode(kind: EventKind) -> u64 {
+    match kind {
+        EventKind::Span(k) => k as u64,
+        EventKind::Mark(k) => MARK_BIT | k as u64,
+    }
+}
+
+/// Inverse of [`encode`]. Slots only ever hold encoded kinds, so the
+/// `ALL` lookups cannot miss.
+fn decode(code: u64) -> EventKind {
+    let index = usize::try_from(code & 0xff).expect("one byte");
+    if code & MARK_BIT == 0 {
+        EventKind::Span(SpanKind::ALL[index])
+    } else {
+        EventKind::Mark(MarkKind::ALL[index])
+    }
+}
+
+const MARK_BIT: u64 = 1 << 8;
+
+/// Per-thread write positions of a [`Timeline`] at one moment: taken
+/// before a run, it delimits the events that run writes.
+#[derive(Clone, Debug)]
+pub struct Cursor(Box<[u64]>);
 
 /// Bounded, lock-free event-timeline recorder: one ring per thread,
 /// timestamps relative to the construction epoch. Implements
@@ -265,7 +182,9 @@ impl Timeline {
     }
 
     /// Forget all recorded events (reuse across runs; the epoch is
-    /// unchanged, so timestamps stay comparable across the reuse).
+    /// unchanged, so timestamps stay comparable across the reuse). A
+    /// reset invalidates every outstanding [`Cursor`]: events written
+    /// after it are not reported since a cursor taken before it.
     pub fn reset(&self) {
         for r in self.rings.iter() {
             r.written.store(0, Ordering::Release);
@@ -279,28 +198,51 @@ impl Timeline {
         crate::ns_u64(t.saturating_duration_since(self.epoch))
     }
 
-    /// All held events, ordered by thread then chronologically (the
-    /// per-thread recording order, which is start-time sorted because
-    /// each thread records its own events as they finish).
-    pub fn events(&self) -> Vec<TimelineEvent> {
-        let mut out = Vec::new();
-        for (tid, ring) in self.rings.iter().enumerate() {
-            ring.events(tid, &mut out);
-        }
-        out
+    /// All held events, ordered by thread then in recording order.
+    pub fn events(&self) -> Vec<Event> {
+        self.events_since(&Cursor(Box::new([]))).0
     }
 
-    /// Summed duration of all spans of `kind`, nanoseconds.
-    pub fn total_ns(&self, kind: TimelineEventKind) -> u64 {
+    /// The current write position of every ring.
+    pub fn cursor(&self) -> Cursor {
+        Cursor(
+            self.rings
+                .iter()
+                .map(|r| r.written.load(Ordering::Acquire))
+                .collect(),
+        )
+    }
+
+    /// The events written since `from` (a [`cursor`](Self::cursor) of
+    /// this timeline) that the rings still hold, ordered by thread then
+    /// in recording order, plus how many events written since `from`
+    /// the rings already overwrote.
+    pub fn events_since(&self, from: &Cursor) -> (Vec<Event>, u64) {
+        let mut out = Vec::new();
+        let mut lost = 0;
+        for (tid, ring) in self.rings.iter().enumerate() {
+            // A cursor without an entry for this ring starts at its
+            // beginning.
+            let start = from.0.get(tid).copied().unwrap_or(0);
+            lost += ring.events_since(tid, start, &mut out);
+        }
+        (out, lost)
+    }
+
+    /// Summed duration of all held events of `kind`, nanoseconds (0 for
+    /// marks, which are instants).
+    pub fn total_ns(&self, kind: impl Into<EventKind>) -> u64 {
+        let kind = kind.into();
         self.events()
             .iter()
             .filter(|e| e.kind == kind)
-            .map(|e| e.duration_ns())
+            .map(Event::duration_ns)
             .sum()
     }
 
-    /// Number of `kind` events recorded for `stage`.
-    pub fn count(&self, kind: TimelineEventKind, stage: u32) -> usize {
+    /// Number of held `kind` events recorded for `stage`.
+    pub fn count(&self, kind: impl Into<EventKind>, stage: u32) -> usize {
+        let kind = kind.into();
         self.events()
             .iter()
             .filter(|e| e.kind == kind && e.stage == stage)
@@ -331,8 +273,8 @@ impl Timeline {
         per_thread.sort_by_key(|e| (e.tid, e.start_ns));
         for e in &per_thread {
             let name = event_name(e, labels);
-            let cat = e.kind.category();
-            if e.kind.is_instant() {
+            let cat = category(e.kind);
+            if matches!(e.kind, EventKind::Mark(_)) {
                 events.push(obj(vec![
                     ("name", Value::Str(name)),
                     ("cat", Value::Str(cat.to_string())),
@@ -378,36 +320,38 @@ impl Timeline {
 impl TimelineSink for Timeline {
     fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
         if let Some(ring) = self.rings.get(tid) {
-            let kind = match kind {
-                SpanKind::PoolJob => TimelineEventKind::PoolJob,
-                SpanKind::StageCompute => TimelineEventKind::StageCompute,
-                SpanKind::BarrierWait => TimelineEventKind::BarrierWait,
-                SpanKind::TunerCandidate => TimelineEventKind::TunerCandidate,
-                SpanKind::BatchTransform => TimelineEventKind::BatchTransform,
-                SpanKind::RequestServe => TimelineEventKind::RequestServe,
-                SpanKind::PoolExecute => TimelineEventKind::PoolExecute,
-            };
             let s = self.offset_ns(start);
-            ring.push(kind, stage, s, self.offset_ns(end).max(s));
+            ring.push(kind.into(), stage, s, self.offset_ns(end).max(s));
         }
     }
 
     fn mark(&self, tid: usize, kind: MarkKind, stage: u32, at: Instant) {
         if let Some(ring) = self.rings.get(tid) {
-            let kind = match kind {
-                MarkKind::BarrierRelease => TimelineEventKind::BarrierRelease,
-                MarkKind::WatchdogFire => TimelineEventKind::WatchdogFire,
-                MarkKind::TunerReject => TimelineEventKind::TunerReject,
-                MarkKind::SloBreach => TimelineEventKind::SloBreach,
-            };
             let t = self.offset_ns(at);
-            ring.push(kind, stage, t, t);
+            ring.push(kind.into(), stage, t, t);
         }
     }
 }
 
+/// Chrome trace-event category of an event kind.
+fn category(kind: EventKind) -> &'static str {
+    match kind {
+        EventKind::Span(SpanKind::PoolJob) => "pool",
+        EventKind::Span(SpanKind::StageCompute | SpanKind::BatchTransform) => "compute",
+        EventKind::Span(SpanKind::BarrierWait) | EventKind::Mark(MarkKind::BarrierRelease) => {
+            "barrier"
+        }
+        EventKind::Span(SpanKind::TunerCandidate) | EventKind::Mark(MarkKind::TunerReject) => {
+            "tuner"
+        }
+        EventKind::Mark(MarkKind::WatchdogFire) => "fault",
+        EventKind::Span(SpanKind::RequestServe | SpanKind::PoolExecute) => "serve",
+        EventKind::Mark(MarkKind::SloBreach) => "slo",
+    }
+}
+
 /// Human-readable event name for the exported trace.
-fn event_name(e: &TimelineEvent, labels: &[String]) -> String {
+fn event_name(e: &Event, labels: &[String]) -> String {
     let stage_label = || {
         labels
             .get(e.stage as usize)
@@ -415,17 +359,17 @@ fn event_name(e: &TimelineEvent, labels: &[String]) -> String {
             .unwrap_or_else(|| format!("stage {}", e.stage))
     };
     match e.kind {
-        TimelineEventKind::PoolJob => "pool job".to_string(),
-        TimelineEventKind::StageCompute => stage_label(),
-        TimelineEventKind::BarrierWait => format!("barrier after {}", stage_label()),
-        TimelineEventKind::BarrierRelease => format!("release {}", stage_label()),
-        TimelineEventKind::WatchdogFire => format!("WATCHDOG {}", stage_label()),
-        TimelineEventKind::TunerCandidate => format!("candidate {}", e.stage),
-        TimelineEventKind::TunerReject => format!("reject candidate {}", e.stage),
-        TimelineEventKind::BatchTransform => format!("batch transform {}", e.stage),
-        TimelineEventKind::RequestServe => format!("request {}", e.stage),
-        TimelineEventKind::PoolExecute => format!("pool execute {}", e.stage),
-        TimelineEventKind::SloBreach => format!("SLO BREACH request {}", e.stage),
+        EventKind::Span(SpanKind::PoolJob) => "pool job".to_string(),
+        EventKind::Span(SpanKind::StageCompute) => stage_label(),
+        EventKind::Span(SpanKind::BarrierWait) => format!("barrier after {}", stage_label()),
+        EventKind::Mark(MarkKind::BarrierRelease) => format!("release {}", stage_label()),
+        EventKind::Mark(MarkKind::WatchdogFire) => format!("WATCHDOG {}", stage_label()),
+        EventKind::Span(SpanKind::TunerCandidate) => format!("candidate {}", e.stage),
+        EventKind::Mark(MarkKind::TunerReject) => format!("reject candidate {}", e.stage),
+        EventKind::Span(SpanKind::BatchTransform) => format!("batch transform {}", e.stage),
+        EventKind::Span(SpanKind::RequestServe) => format!("request {}", e.stage),
+        EventKind::Span(SpanKind::PoolExecute) => format!("pool execute {}", e.stage),
+        EventKind::Mark(MarkKind::SloBreach) => format!("SLO BREACH request {}", e.stage),
     }
 }
 
@@ -492,22 +436,22 @@ mod tests {
         for tid in 0..2 {
             let mine: Vec<_> = ev.iter().filter(|e| e.tid == tid).collect();
             assert_eq!(mine.len(), 7);
-            assert_eq!(mine[0].kind, TimelineEventKind::StageCompute);
-            assert_eq!(mine.last().unwrap().kind, TimelineEventKind::PoolJob);
+            assert!(mine[0].is_span(SpanKind::StageCompute));
+            assert!(mine.last().unwrap().is_span(SpanKind::PoolJob));
         }
         assert_eq!(tl.total_dropped(), 0);
-        assert_eq!(tl.count(TimelineEventKind::BarrierRelease, 0), 2);
-        assert_eq!(tl.count(TimelineEventKind::BarrierRelease, 1), 2);
+        assert_eq!(tl.count(MarkKind::BarrierRelease, 0), 2);
+        assert_eq!(tl.count(MarkKind::BarrierRelease, 1), 2);
     }
 
     #[test]
     fn totals_sum_span_durations() {
         let tl = sample();
         // Thread 0 compute: 100 + 70; thread 1: 90 + 70.
-        assert_eq!(tl.total_ns(TimelineEventKind::StageCompute), 330);
-        assert_eq!(tl.total_ns(TimelineEventKind::BarrierWait), 2 * (30 + 10));
+        assert_eq!(tl.total_ns(SpanKind::StageCompute), 330);
+        assert_eq!(tl.total_ns(SpanKind::BarrierWait), 2 * (30 + 10));
         // Instants have zero duration.
-        assert_eq!(tl.total_ns(TimelineEventKind::BarrierRelease), 0);
+        assert_eq!(tl.total_ns(MarkKind::BarrierRelease), 0);
     }
 
     #[test]
@@ -532,6 +476,80 @@ mod tests {
         tl.reset();
         assert!(tl.events().is_empty());
         assert_eq!(tl.total_dropped(), 0);
+    }
+
+    #[test]
+    fn events_since_a_cursor_are_one_runs_events_and_losses() {
+        let tl = Timeline::with_capacity(2, 4);
+        let e = tl.epoch;
+        // Two events of an earlier phase on thread 0.
+        tl.mark(0, MarkKind::TunerReject, 0, t(e, 1));
+        tl.mark(0, MarkKind::TunerReject, 1, t(e, 2));
+        let from = tl.cursor();
+        tl.span(1, SpanKind::PoolJob, 0, t(e, 3), t(e, 4));
+        let (ev, lost) = tl.events_since(&from);
+        assert_eq!(lost, 0);
+        assert_eq!(ev.len(), 1);
+        assert!(ev[0].is_span(SpanKind::PoolJob) && ev[0].tid == 1);
+        // Thread 0 writes 6 more into its 4 slots: the 2 earlier events
+        // and 2 of the new ones are overwritten, and only the new ones
+        // count as lost.
+        for i in 0..6u32 {
+            tl.mark(0, MarkKind::BarrierRelease, i, t(e, 10 + u64::from(i)));
+        }
+        let (ev, lost) = tl.events_since(&from);
+        assert_eq!(lost, 2);
+        assert_eq!(tl.total_dropped(), 4);
+        let stages: Vec<u32> = ev.iter().filter(|x| x.tid == 0).map(|x| x.stage).collect();
+        assert_eq!(stages, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_ring_and_chrome_export() {
+        let spans = SpanKind::ALL.iter().map(|&k| EventKind::from(k));
+        let kinds: Vec<EventKind> = spans
+            .chain(MarkKind::ALL.iter().map(|&k| k.into()))
+            .collect();
+        let tl = Timeline::with_capacity(1, kinds.len());
+        let e = tl.epoch;
+        for (i, &kind) in kinds.iter().enumerate() {
+            let at = 100 * i as u64;
+            let stage = u32::try_from(i).unwrap();
+            match kind {
+                EventKind::Span(k) => tl.span(0, k, stage, t(e, at), t(e, at + 50)),
+                EventKind::Mark(k) => tl.mark(0, k, stage, t(e, at)),
+            }
+        }
+        let ev = tl.events();
+        assert_eq!(ev.iter().map(|x| x.kind).collect::<Vec<_>>(), kinds);
+        for (i, x) in ev.iter().enumerate() {
+            assert_eq!(x.stage as usize, i);
+            let span = matches!(x.kind, EventKind::Span(_));
+            assert_eq!(x.duration_ns(), if span { 50 } else { 0 });
+        }
+        // The export names and categorizes each kind on its own row.
+        let json = tl.chrome_trace(&[]);
+        let doc: Value = serde_json::from_str(&json).expect("chrome trace parses");
+        let Some(Value::Arr(rows)) = doc.get("traceEvents") else {
+            panic!("traceEvents missing");
+        };
+        let str_of = |v: &Value, key: &str| match v.get(key) {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("{key}: {other:?}"),
+        };
+        let recorded: Vec<(String, String)> = rows
+            .iter()
+            .filter(|r| matches!(str_of(r, "ph").as_str(), "B" | "i"))
+            .map(|r| (str_of(r, "name"), str_of(r, "cat")))
+            .collect();
+        let want: Vec<(String, String)> = ev
+            .iter()
+            .map(|x| (event_name(x, &[]), category(x.kind).to_string()))
+            .collect();
+        assert_eq!(recorded, want);
+        // Every kind exports a distinct name.
+        let names: std::collections::HashSet<&String> = recorded.iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), kinds.len());
     }
 
     #[test]

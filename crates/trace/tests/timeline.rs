@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use serde_json::Value;
 use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
-use spiral_trace::{Timeline, TimelineEventKind};
+use spiral_trace::Timeline;
 use std::time::{Duration, Instant};
 
 /// One synthetic pool job: idle gap before it, compute duration inside
@@ -168,8 +168,8 @@ proptest! {
                 pool += dur + 10;
             }
         }
-        prop_assert_eq!(timeline.total_ns(TimelineEventKind::StageCompute), compute);
-        prop_assert_eq!(timeline.total_ns(TimelineEventKind::PoolJob), pool);
+        prop_assert_eq!(timeline.total_ns(SpanKind::StageCompute), compute);
+        prop_assert_eq!(timeline.total_ns(SpanKind::PoolJob), pool);
         prop_assert_eq!(timeline.total_dropped(), 0);
     }
 }

@@ -1,7 +1,7 @@
-//! End-to-end timeline checks on real observed executions: the event
-//! stream recorded by `try_execute_observed` must agree with the
-//! independently aggregated `RunProfile` of the same run, satisfy the
-//! static timeline checker, count one barrier release per thread per
+//! End-to-end timeline checks on real observed executions: the
+//! `RunProfile` that `try_execute_observed` folds from the run's events
+//! must account for exactly those events, and the events must satisfy
+//! the static timeline checker, count one barrier release per thread per
 //! synchronized stage, and export as well-formed Chrome trace JSON.
 
 // Stage/thread ids in these runs are tiny; the JSON data model stores
@@ -12,9 +12,11 @@ use serde_json::Value;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::ParallelExecutor;
 use spiral_rewrite::multicore_dft_expanded;
+use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
 use spiral_spl::cplx::Cplx;
-use spiral_trace::{RunProfile, Timeline, TimelineEvent, TimelineEventKind};
-use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
+use spiral_trace::{RunProfile, Timeline};
+use spiral_verify::timeline::verify_timeline;
+use std::time::{Duration, Instant};
 
 fn ramp(n: usize) -> Vec<Cplx> {
     (0..n)
@@ -35,32 +37,27 @@ fn observed_run(n: usize, p: usize) -> (Timeline, RunProfile, Plan) {
         .try_execute_observed(&plan, &ramp(n), &timeline)
         .expect("healthy plan must execute");
     assert_eq!(out.len(), n);
+    // Observed runs exist only with `spiral-smp/trace`, which stamps the
+    // host flag.
+    assert!(profile.host.features.iter().any(|f| f == "trace"));
     (timeline, profile, plan)
 }
 
-fn to_tl(events: &[TimelineEvent]) -> Vec<TlEvent> {
-    events
-        .iter()
-        .map(|e| TlEvent {
-            tid: e.tid,
-            kind: match e.kind {
-                TimelineEventKind::PoolJob => TlKind::PoolJob,
-                TimelineEventKind::StageCompute => TlKind::StageCompute,
-                TimelineEventKind::BarrierWait => TlKind::BarrierWait,
-                TimelineEventKind::TunerCandidate => TlKind::TunerCandidate,
-                TimelineEventKind::BatchTransform => TlKind::BatchTransform,
-                TimelineEventKind::BarrierRelease => TlKind::BarrierRelease,
-                TimelineEventKind::WatchdogFire => TlKind::WatchdogFire,
-                TimelineEventKind::TunerReject => TlKind::TunerReject,
-                TimelineEventKind::RequestServe => TlKind::RequestServe,
-                TimelineEventKind::PoolExecute => TlKind::PoolExecute,
-                TimelineEventKind::SloBreach => TlKind::SloBreach,
-            },
-            stage: e.stage,
-            start_ns: e.start_ns,
-            end_ns: e.end_ns,
-        })
-        .collect()
+/// Compute, barrier-wait and pool-job nanoseconds summed over a
+/// timeline's spans …
+fn span_totals(tl: &Timeline) -> (u64, u64, u64) {
+    let total = |k| tl.total_ns(k);
+    (
+        total(SpanKind::StageCompute),
+        total(SpanKind::BarrierWait),
+        total(SpanKind::PoolJob),
+    )
+}
+
+/// … and as a profile reports them.
+fn profile_totals(pr: &RunProfile) -> (u64, u64, u64) {
+    let pool = pr.pool_job_ns.iter().sum();
+    (pr.total_compute_ns(), pr.total_barrier_wait_ns(), pool)
 }
 
 #[test]
@@ -69,7 +66,7 @@ fn barrier_release_marks_count_threads_per_synchronized_stage() {
         let (timeline, profile, _) = observed_run(1 << 10, p);
         let mut synchronized = 0;
         for s in 0..profile.stages.len() {
-            let releases = timeline.count(TimelineEventKind::BarrierRelease, s as u32);
+            let releases = timeline.count(MarkKind::BarrierRelease, s as u32);
             assert!(
                 releases == 0 || releases == p,
                 "p={p} stage {s}: {releases} release marks (want 0 or {p})"
@@ -88,34 +85,87 @@ fn barrier_release_marks_count_threads_per_synchronized_stage() {
 
 #[test]
 fn timeline_totals_agree_with_profile_aggregates() {
-    // Both instruments observe the same run, so the sums must agree to
-    // well within the 5% acceptance bound — they differ only by
-    // clock-read placement.
-    let (timeline, profile, _) = observed_run(1 << 12, 2);
-    let within = |name: &str, tl: u64, prof: u64| {
-        let rel = (tl as f64 - prof as f64).abs() / prof.max(1) as f64;
-        assert!(
-            rel <= 0.05,
-            "{name}: timeline {tl} ns vs profile {prof} ns ({:.1}% apart)",
-            100.0 * rel
-        );
-    };
-    within(
-        "compute",
-        timeline.total_ns(TimelineEventKind::StageCompute),
-        profile.total_compute_ns(),
-    );
-    within(
-        "barrier wait",
-        timeline.total_ns(TimelineEventKind::BarrierWait),
-        profile.total_barrier_wait_ns(),
-    );
+    // The profile is a fold over exactly the events its run wrote, so
+    // the sums agree to the nanosecond — also when the timeline already
+    // holds tuner events and an earlier run before the profiled one.
+    let (n, p) = (1 << 12, 2);
+    let plan = balanced_plan(n, p);
+    let exec = ParallelExecutor::with_auto_barrier(p);
+    let timeline = Timeline::new(p);
+    let t0 = Instant::now();
+    let us = |c: u32| t0 + Duration::from_micros(u64::from(c));
+    for c in 0..3 {
+        timeline.span(0, SpanKind::TunerCandidate, c, us(c), us(c + 1));
+    }
+    timeline.mark(0, MarkKind::TunerReject, 2, t0);
+    let (_, first) = exec
+        .try_execute_observed(&plan, &ramp(n), &timeline)
+        .expect("healthy plan must execute");
+    assert_eq!(span_totals(&timeline), profile_totals(&first));
+    let (_, second) = exec
+        .try_execute_observed(&plan, &ramp(n), &timeline)
+        .expect("healthy plan must execute");
+    let both = first.try_merge(&second).expect("same plan, same shape");
+    assert_eq!(span_totals(&timeline), profile_totals(&both));
+    // Per (stage, thread): the second profile's compute is exactly the
+    // second run's spans, the ones after the first run's in each ring.
+    for (si, stage) in second.stages.iter().enumerate() {
+        for (tid, t) in stage.threads.iter().enumerate() {
+            let spans: Vec<u64> = timeline
+                .events()
+                .iter()
+                .filter(|e| e.tid == tid && e.stage as usize == si)
+                .filter(|e| e.is_span(SpanKind::StageCompute))
+                .map(|e| e.duration_ns())
+                .collect();
+            assert_eq!(spans.len(), 2, "stage {si} tid {tid}: one span per run");
+            assert_eq!(t.compute_ns, spans[1], "stage {si} tid {tid}");
+        }
+    }
+    assert_eq!(timeline.count(SpanKind::TunerCandidate, 1), 1);
+    assert_eq!(second.timeline_dropped, 0);
+}
+
+#[test]
+fn observed_run_needs_a_ring_per_executor_thread() {
+    let plan = balanced_plan(1 << 10, 2);
+    let exec = ParallelExecutor::with_auto_barrier(2);
+    let err = exec
+        .try_execute_observed(&plan, &ramp(1 << 10), &Timeline::new(1))
+        .expect_err("a one-ring timeline cannot record a two-thread run");
+    assert!(err.to_string().contains("timeline"), "{err}");
+}
+
+#[test]
+fn concurrent_observed_runs_sharing_a_timeline_fold_only_their_own_events() {
+    // Concurrent callers on one executor run one after another, and each
+    // profile folds only its own events: together the profiles account
+    // for every span in the timeline exactly once.
+    let (n, p) = (1 << 10, 2);
+    let plan = balanced_plan(n, p);
+    let exec = ParallelExecutor::with_auto_barrier(p);
+    let timeline = Timeline::new(p);
+    let x = ramp(n);
+    let run = || exec.try_execute_observed(&plan, &x, &timeline).unwrap();
+    let caller = || (0..8).map(|_| run().1).collect::<Vec<_>>();
+    let profiles: Vec<RunProfile> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..3).map(|_| s.spawn(caller)).collect();
+        callers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let merge = |acc: RunProfile, pr: &RunProfile| acc.try_merge(pr).unwrap();
+    let all = profiles[1..].iter().fold(profiles[0].clone(), merge);
+    assert_eq!(all.runs, 24);
+    assert_eq!(timeline.total_dropped(), 0);
+    assert_eq!(span_totals(&timeline), profile_totals(&all));
 }
 
 #[test]
 fn static_timeline_checker_passes_a_real_run() {
     let (timeline, profile, _) = observed_run(1 << 11, 2);
-    let diags = verify_timeline(&to_tl(&timeline.events()), 2, profile.stages.len());
+    let diags = verify_timeline(&timeline.events(), 2, profile.stages.len());
     assert!(
         diags.is_empty(),
         "real observed run must satisfy the timeline checker: {:?}",
@@ -164,7 +214,7 @@ fn chrome_export_of_real_run_is_well_formed() {
 fn overflowed_tiny_ring_reports_nonzero_drop_count_in_profile() {
     // A real observed run into a deliberately tiny ring: the run emits
     // far more events per thread than 2 slots, so the ring must wrap —
-    // and the profile stamped from that timeline must SAY so instead of
+    // and the profile folded from that timeline must SAY so instead of
     // silently truncating history.
     let n = 1 << 10;
     let p = 2;
@@ -174,7 +224,6 @@ fn overflowed_tiny_ring_reports_nonzero_drop_count_in_profile() {
     let (_, profile) = exec
         .try_execute_observed(&plan, &ramp(n), &timeline)
         .expect("healthy plan must execute");
-    let profile = profile.with_timeline(&timeline);
     assert!(
         timeline.total_dropped() > 0,
         "a 2-slot ring must wrap on a real run"
@@ -190,5 +239,5 @@ fn overflowed_tiny_ring_reports_nonzero_drop_count_in_profile() {
     // Control: an ample ring on the same workload drops nothing.
     let (roomy, ample_profile, _) = observed_run(n, p);
     assert_eq!(roomy.total_dropped(), 0);
-    assert_eq!(ample_profile.with_timeline(&roomy).timeline_dropped, 0);
+    assert_eq!(ample_profile.timeline_dropped, 0);
 }
